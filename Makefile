@@ -30,6 +30,7 @@ BENCHTIME ?= 100x
 SHARDTIME ?= 1000x
 HOTTIME ?= 500x
 DEDUPETIME ?= 20x
+KERNELTIME ?= 200000x
 bench-json:
 	$(GO) test -run='^$$' -bench='BatchShip|AblationCoalesce' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_batch.json
@@ -43,6 +44,8 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_repair.json
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_dedupe.json
+	$(GO) test -run='^$$' -bench='HashBlock' -benchtime=$(KERNELTIME) -benchmem -cpu 1 ./internal/iscsi \
+		| $(GO) run ./cmd/benchjson -out BENCH_kernels.json
 
 # Performance regression guards (see cmd/benchjson guard mode):
 #   - hotpath: writes/s must not fall more than REGRESS percent below
@@ -53,7 +56,13 @@ bench-json:
 #     must not rise more than REGRESS percent above BENCH_repair.json.
 #   - dedupe: the by-ref wire-savings ratio (savedx) must not fall more
 #     than REGRESS percent below BENCH_dedupe.json.
+#   - kernels: CPU per 8 KiB block hash (ns/op, lower is better) must
+#     not rise more than KERNEL_REGRESS percent above BENCH_kernels.json.
+#     Single-goroutine CPU time moves with the host far more than the
+#     link- and byte-bound metrics above, so its bound is wide; a return
+#     to a bytewise hash (~10x) still fails it.
 REGRESS ?= 10
+KERNEL_REGRESS ?= 100
 bench-guard:
 	$(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_hotpath.json \
@@ -64,6 +73,9 @@ bench-guard:
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_dedupe.json \
 			-metric savedx -max-regress $(REGRESS)
+	$(GO) test -run='^$$' -bench='HashBlock' -benchtime=$(KERNELTIME) -benchmem -cpu 1 ./internal/iscsi \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_kernels.json \
+			-metric ns/op -lower -max-regress $(KERNEL_REGRESS)
 
 # The sharded-engine and multi-volume concurrency battery, repeated
 # under the race detector: cross-shard parallel writers, same-LBA
@@ -81,6 +93,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripe$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzHashBlock$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 

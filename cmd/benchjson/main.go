@@ -119,6 +119,9 @@ func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower
 		}
 		want, ok := baseBy[b.Name]
 		if !ok {
+			want, ok = baseBy[trimProcs(b.Name)]
+		}
+		if !ok {
 			continue
 		}
 		compared++
@@ -143,6 +146,22 @@ func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower
 		return fmt.Errorf("performance regression:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// trimProcs drops the -GOMAXPROCS suffix `go test` appends to a
+// benchmark's name whenever GOMAXPROCS is not 1, so a run on a
+// multi-core host still matches a baseline recorded at one CPU. The
+// guard tries the exact name first: a sub-benchmark such as shards-8
+// run at one CPU keeps its own name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }
 
 // parse reads `go test -bench` output from r, echoing every line to

@@ -169,3 +169,36 @@ func TestGuardLowerIsBetter(t *testing.T) {
 		t.Errorf("higher-is-better guard failed on a rise: %v", err)
 	}
 }
+
+// TestGuardMatchesAcrossProcs: go test names a benchmark
+// BenchmarkX-2 on a two-CPU host and BenchmarkX at one CPU; the guard
+// must compare the two rather than report nothing shared.
+func TestGuardMatchesAcrossProcs(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkGroupRepair", Metrics: map[string]float64{"wireB": 1000}},
+		{Name: "BenchmarkHotpathShards/shards-8", Metrics: map[string]float64{"wireB": 1000}},
+	}}
+	enc, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"BenchmarkGroupRepair-2", "BenchmarkHotpathShards/shards-8", "BenchmarkHotpathShards/shards-8-2"} {
+		fresh := &Report{Benchmarks: []Benchmark{{Name: name, Metrics: map[string]float64{"wireB": 2000}}}}
+		err := guard(fresh, path, "wireB", 10, true, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "performance regression") {
+			t.Errorf("%s: guard = %v, want it compared and failed", name, err)
+		}
+	}
+	for name, want := range map[string]string{
+		"BenchmarkX-2": "BenchmarkX", "BenchmarkX": "BenchmarkX",
+		"BenchmarkX/a-b": "BenchmarkX/a-b", "BenchmarkX-": "BenchmarkX-",
+	} {
+		if got := trimProcs(name); got != want {
+			t.Errorf("trimProcs(%q) = %q, want %q", name, got, want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package block
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Store is a fixed-geometry block device. Reads and writes are whole
@@ -124,4 +125,26 @@ func Copy(dst, src Store) error {
 		}
 	}
 	return nil
+}
+
+// AppendBlocks appends the contents of count blocks starting at lba to
+// dst and returns the extended slice. It reuses dst's spare capacity
+// when that is enough, so a caller serving many reads can keep one
+// buffer. The whole range is checked before anything is read or
+// allocated.
+func AppendBlocks(dst []byte, s Store, lba uint64, count uint32) ([]byte, error) {
+	if nb := s.NumBlocks(); lba >= nb || uint64(count) > nb-lba {
+		return nil, fmt.Errorf("%w: blocks [%d, %d+%d) on a %d-block device",
+			ErrOutOfRange, lba, lba, count, nb)
+	}
+	bs := s.BlockSize()
+	start := len(dst)
+	dst = slices.Grow(dst, int(count)*bs)[:start+int(count)*bs]
+	for i := 0; i < int(count); i++ {
+		off := start + i*bs
+		if err := s.ReadBlock(lba+uint64(i), dst[off:off+bs]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }

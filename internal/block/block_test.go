@@ -401,3 +401,36 @@ func TestFaultyStore(t *testing.T) {
 		t.Errorf("armed read: err = %v, want boom", err)
 	}
 }
+
+func TestAppendBlocks(t *testing.T) {
+	const bs = 8
+	s, err := NewMem(bs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lba := uint64(0); lba < 4; lba++ {
+		if err := s.WriteBlock(lba, bytes.Repeat([]byte{byte(lba + 1)}, bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := append(make([]byte, 0, 3+2*bs), "hdr"...)
+	got, err := AppendBlocks(dst, s, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("hdr"), append(bytes.Repeat([]byte{3}, bs), bytes.Repeat([]byte{4}, bs)...)...)
+	if !bytes.Equal(got, want) {
+		t.Errorf("AppendBlocks = %v, want %v", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Error("AppendBlocks reallocated although dst had room")
+	}
+	for _, r := range []struct {
+		lba   uint64
+		count uint32
+	}{{3, 2}, {4, 1}, {1, ^uint32(0)}} {
+		if _, err := AppendBlocks(nil, s, r.lba, r.count); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("AppendBlocks(%d, %d) = %v, want ErrOutOfRange", r.lba, r.count, err)
+		}
+	}
+}

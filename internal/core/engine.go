@@ -1357,13 +1357,10 @@ func (e *Engine) Geometry() (int, uint64) {
 }
 
 // HandleRead implements iscsi.Backend.
-func (e *Engine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	bs := e.local.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := e.local.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, statusOf(err)
-		}
+func (e *Engine) HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, iscsi.Status) {
+	out, err := block.AppendBlocks(dst, e.local, lba, blocks)
+	if err != nil {
+		return nil, statusOf(err)
 	}
 	return out, iscsi.StatusOK
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prins/internal/block"
+	"prins/internal/iscsi"
 	"prins/internal/parity"
 	"prins/internal/raid"
 	"prins/internal/xcode"
@@ -506,13 +507,51 @@ func TestEngineBackendStatuses(t *testing.T) {
 	if st := e.HandleWrite(99, make([]byte, 512)); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleWrite = %v", st)
 	}
-	if _, st := e.HandleRead(0, 2); st.String() != "OK" {
+	if _, st := e.HandleRead(0, 2, nil); st.String() != "OK" {
 		t.Errorf("HandleRead = %v", st)
 	}
-	if _, st := e.HandleRead(7, 2); st.String() != "OUT-OF-RANGE" {
+	if _, st := e.HandleRead(7, 2, nil); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleRead = %v", st)
 	}
 	if st := e.HandleReplica(1, 1, 0, 0, nil); st.String() != "BAD-REQUEST" {
 		t.Errorf("primary HandleReplica = %v", st)
+	}
+}
+
+// TestHandleReadReusesDst checks every core iscsi.Backend reads into the
+// caller's buffer when it has room, so a target can serve a session's
+// reads and hash turns from one scratch buffer.
+func TestHandleReadReusesDst(t *testing.T) {
+	const bs, nb = 512, 8
+	e, replica := newPair(t, Config{Mode: ModePRINS}, bs, nb)
+	for lba := uint64(0); lba < nb; lba++ {
+		if err := e.WriteBlock(lba, fillBlock(bs, byte(lba+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := NewReplicaSet()
+	if err := set.AddVolume(0, replica); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		backend iscsi.Backend
+	}{{"Engine", e}, {"ReplicaEngine", replica}, {"ReplicaSet", set}} {
+		dst := make([]byte, 0, 4*bs)
+		got, st := tc.backend.HandleRead(2, 3, dst)
+		if st != iscsi.StatusOK {
+			t.Fatalf("%s: HandleRead = %v", tc.name, st)
+		}
+		if len(got) != 3*bs || &got[0] != &dst[:1][0] {
+			t.Errorf("%s: HandleRead did not read into dst (len %d)", tc.name, len(got))
+		}
+		for i := 0; i < 3; i++ {
+			if !bytes.Equal(got[i*bs:(i+1)*bs], fillBlock(bs, byte(i+3))) {
+				t.Errorf("%s: block %d has the wrong contents", tc.name, 2+i)
+			}
+		}
+		if grown, st := tc.backend.HandleRead(0, nb, dst); st != iscsi.StatusOK || len(grown) != nb*bs {
+			t.Errorf("%s: HandleRead past dst's capacity = %d bytes, %v", tc.name, len(grown), st)
+		}
 	}
 }

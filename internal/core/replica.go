@@ -915,13 +915,10 @@ func (r *ReplicaEngine) Geometry() (int, uint64) {
 
 // HandleRead implements iscsi.Backend, serving reads off the replica
 // copy (e.g. for verification or failover).
-func (r *ReplicaEngine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	bs := r.store.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := r.store.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, statusOf(err)
-		}
+func (r *ReplicaEngine) HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, iscsi.Status) {
+	out, err := block.AppendBlocks(dst, r.store, lba, blocks)
+	if err != nil {
+		return nil, statusOf(err)
 	}
 	return out, iscsi.StatusOK
 }

@@ -412,8 +412,8 @@ type plainBackend struct {
 }
 
 func (b *plainBackend) Geometry() (int, uint64) { return b.re.Geometry() }
-func (b *plainBackend) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	return b.re.HandleRead(lba, blocks)
+func (b *plainBackend) HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, iscsi.Status) {
+	return b.re.HandleRead(lba, blocks, dst)
 }
 func (b *plainBackend) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return b.re.HandleWrite(lba, data)

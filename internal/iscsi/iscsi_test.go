@@ -547,3 +547,30 @@ func TestShortResponseRejected(t *testing.T) {
 		t.Errorf("short single-block read: err = %v, want ErrShortFrame", err)
 	}
 }
+
+// TestStoreBackendHandleReadReusesDst checks the append-style read the
+// target relies on to serve a session from one scratch buffer.
+func TestStoreBackendHandleReadReusesDst(t *testing.T) {
+	const bs = 16
+	store, err := block.NewMem(bs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lba := uint64(0); lba < 4; lba++ {
+		if err := store.WriteBlock(lba, bytes.Repeat([]byte{byte(lba + 1)}, bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := &StoreBackend{Store: store}
+	dst := make([]byte, 0, 3*bs)
+	got, st := b.HandleRead(1, 3, dst)
+	if st != StatusOK || len(got) != 3*bs || &got[0] != &dst[:1][0] {
+		t.Fatalf("HandleRead = %d bytes, %v; want 3 blocks read into dst", len(got), st)
+	}
+	if got[0] != 2 || got[3*bs-1] != 4 {
+		t.Errorf("HandleRead read the wrong blocks: %v", got)
+	}
+	if _, st := b.HandleRead(2, 3, dst); st != StatusOutOfRange {
+		t.Errorf("HandleRead past the device end = %v, want OUT-OF-RANGE", st)
+	}
+}

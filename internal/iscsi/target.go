@@ -17,8 +17,10 @@ import (
 type Backend interface {
 	// Geometry returns the device shape advertised at login.
 	Geometry() (blockSize int, numBlocks uint64)
-	// HandleRead returns the contents of blocks [lba, lba+blocks).
-	HandleRead(lba uint64, blocks uint32) ([]byte, Status)
+	// HandleRead appends the contents of blocks [lba, lba+blocks) to
+	// dst and returns the extended slice, reusing dst's capacity when it
+	// is large enough (block.AppendBlocks).
+	HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, Status)
 	// HandleWrite applies a whole-block write at lba.
 	HandleWrite(lba uint64, data []byte) Status
 	// HandleReplica applies a replication push: an xcode frame for the
@@ -57,13 +59,10 @@ func (b *StoreBackend) Geometry() (int, uint64) {
 }
 
 // HandleRead implements Backend.
-func (b *StoreBackend) HandleRead(lba uint64, blocks uint32) ([]byte, Status) {
-	bs := b.Store.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := b.Store.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, storeStatus(err)
-		}
+func (b *StoreBackend) HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, Status) {
+	out, err := block.AppendBlocks(dst, b.Store, lba, blocks)
+	if err != nil {
+		return nil, storeStatus(err)
 	}
 	return out, StatusOK
 }
@@ -276,6 +275,11 @@ func (t *Target) ServeConn(conn net.Conn) {
 	}
 	defer t.untrack(conn)
 	var backend Backend
+	// scratch holds the block data of one OpReadCmd or OpHashCmd and is
+	// reused by the next: each response is written before the next PDU
+	// is read, so nothing still references it. It keeps the size of the
+	// largest such request the session has served.
+	var scratch []byte
 
 	for {
 		pdu, err := ReadPDU(conn)
@@ -329,9 +333,10 @@ func (t *Target) ServeConn(conn net.Conn) {
 				resp.Status = StatusBadRequest
 				break
 			}
-			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks)
+			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks, scratch[:0])
 			resp.Status = st
 			if st == StatusOK {
+				scratch = data
 				resp.Data = data
 			}
 
@@ -434,9 +439,10 @@ func (t *Target) ServeConn(conn net.Conn) {
 				resp.Status = StatusBadRequest
 				break
 			}
-			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks)
+			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks, scratch[:0])
 			resp.Status = st
 			if st == StatusOK {
+				scratch = data
 				bs, _ := backend.Geometry()
 				resp.Data = HashBlocks(data, bs)
 			}
