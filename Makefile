@@ -91,8 +91,8 @@ stress:
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPDU$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripe$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripe$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzHashBlock$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode

@@ -299,9 +299,9 @@ type wanDelayClient struct {
 	inner core.ReplicaClient
 }
 
-func (c *wanDelayClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *wanDelayClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	time.Sleep(c.delay)
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.Push(hdr, entries)
 }
 
 // BenchmarkFanoutLatency measures synchronous write latency against 1,
@@ -661,8 +661,9 @@ func BenchmarkReplicaApply(b *testing.B) {
 	b.SetBytes(blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := replica.Apply(core.ModePRINS, uint64(i+1), uint64(i%64), 0, frame); err != nil {
-			b.Fatal(err)
+		entry := []iscsi.BatchEntry{{Seq: uint64(i + 1), LBA: uint64(i % 64), Frame: frame}}
+		if st := replica.ApplyPush(iscsi.PushHeader{Mode: uint8(core.ModePRINS)}, entry); st[0] != iscsi.StatusOK {
+			b.Fatal(st[0])
 		}
 	}
 }
@@ -849,23 +850,18 @@ func BenchmarkAblationAggressive(b *testing.B) {
 
 // hotpathEncode is the primary's per-write encode work exactly as the
 // pipeline composes it: fused XOR+density kernel into a scratch parity
-// block, ZRL append-encode into a pooled frame buffer with header
-// headroom, header stamped in place over the finished frame. Returns
-// the full framed PDU (headroom + frame) for wire-length accounting.
-func hotpathEncode(fp, newData, oldData, buf []byte, seq uint64) ([]byte, error) {
+// block, the block hash the replica verifies against, and a ZRL
+// append-encode into a pooled frame buffer. Returns the frame.
+func hotpathEncode(fp, newData, oldData, buf []byte) ([]byte, error) {
 	if _, err := parity.XORCountNonZero(fp, newData, oldData); err != nil {
 		return nil, err
 	}
-	hash := iscsi.HashBlock(newData)
-	pdu, err := xcode.AppendEncodeBest(buf[:iscsi.FrameHeadroom], fp, xcode.CodecZRL)
-	if err != nil {
-		return nil, err
-	}
-	if err := iscsi.StampReplicaHeader(pdu, 1, 0, 0, uint32(seq), seq, seq%64, hash); err != nil {
-		return nil, err
-	}
-	return pdu, nil
+	hotpathHash = iscsi.HashBlock(newData)
+	return xcode.AppendEncodeBest(buf[:0], fp, xcode.CodecZRL)
 }
+
+// hotpathHash keeps the hash in hotpathEncode from being optimized away.
+var hotpathHash uint64
 
 // hotpathBlocks builds a representative (old, new) block pair: 10%
 // changed in one clustered run, like a database page update.
@@ -881,25 +877,22 @@ func hotpathBlocks(blockSize int) (oldData, newData []byte) {
 
 // TestEncodePathZeroAllocs pins the zero-copy encode contract: with a
 // warmed pooled buffer, one write's parity + density + hash + ZRL
-// encode + in-place header stamp allocates nothing. A regression here
-// means a per-write allocation crept back into the hot path.
+// encode allocates nothing. A regression here means a per-write
+// allocation crept back into the hot path.
 func TestEncodePathZeroAllocs(t *testing.T) {
 	const blockSize = 8 << 10
 	oldData, newData := hotpathBlocks(blockSize)
 	fp := make([]byte, blockSize)
-	buf := make([]byte, iscsi.FrameHeadroom, iscsi.FrameHeadroom+64)
+	buf := make([]byte, 0, 64)
 	// Warm the buffer to its steady-state capacity, as the frame pool
 	// does after the first write.
-	pdu, err := hotpathEncode(fp, newData, oldData, buf, 1)
+	buf, err := hotpathEncode(fp, newData, oldData, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf = pdu[:iscsi.FrameHeadroom]
 
-	var seq uint64
 	allocs := testing.AllocsPerRun(100, func() {
-		seq++
-		if _, err := hotpathEncode(fp, newData, oldData, buf, seq); err != nil {
+		if _, err := hotpathEncode(fp, newData, oldData, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -909,30 +902,25 @@ func TestEncodePathZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkHotpathEncode measures the per-write CPU cost of the
-// zero-copy encode path (fused parity kernel, block hash, ZRL encode,
-// in-place header stamp) with allocation reporting; allocs/op must
-// read 0 (asserted by TestEncodePathZeroAllocs).
+// zero-copy encode path (fused parity kernel, block hash, ZRL encode)
+// with allocation reporting; allocs/op must read 0 (asserted by
+// TestEncodePathZeroAllocs).
 func BenchmarkHotpathEncode(b *testing.B) {
 	const blockSize = 8 << 10
 	oldData, newData := hotpathBlocks(blockSize)
 	fp := make([]byte, blockSize)
-	buf := make([]byte, iscsi.FrameHeadroom, iscsi.FrameHeadroom+2*blockSize)
-	pdu, err := hotpathEncode(fp, newData, oldData, buf, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf = pdu[:iscsi.FrameHeadroom]
+	buf := make([]byte, 0, 2*blockSize)
 
 	b.SetBytes(blockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var frameLen int
 	for i := 0; i < b.N; i++ {
-		pdu, err := hotpathEncode(fp, newData, oldData, buf, uint64(i+1))
+		frame, err := hotpathEncode(fp, newData, oldData, buf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		frameLen = len(pdu) - iscsi.FrameHeadroom
+		frameLen = len(frame)
 	}
 	b.ReportMetric(float64(frameLen), "frameB")
 }

@@ -53,7 +53,7 @@ func run(args []string) error {
 		volumes = fs.Int("volumes", 1, "logical volumes to serve; >1 multiplexes them over shared replica sessions")
 
 		queueDepth    = fs.Int("queue-depth", 256, "ship queue depth per replica")
-		batchFrames   = fs.Int("batch-frames", 32, "max frames drained into one batched push (1 = no batching)")
+		batchFrames   = fs.Int("batch-frames", 32, "max frames drained into one push (1 = one frame per push)")
 		batchBytes    = fs.Int("batch-bytes", 1<<20, "soft cap on batched frame payload bytes per push")
 		flushWindow   = fs.Duration("flush-window", 0, "group-commit flush window: same-shard writes arriving within it commit as one unit (0 = per-write commit)")
 		flushFrames   = fs.Int("flush-frames", 64, "grouped writes per flush pass; a queue filling to this commits before the window elapses")
@@ -66,7 +66,7 @@ func run(args []string) error {
 		scrubEvery    = fs.Duration("scrub-interval", 0, "primary role: background scrub pass interval per replica (0 = off)")
 		scrubPause    = fs.Duration("scrub-pause", 2*time.Millisecond, "pause between scrub hash batches (rate limit)")
 
-		dedupe     = fs.Int("dedupe", 0, "primary role: enable ship-by-reference dedupe with this many index entries per replica (0 = off, negative = default bound); replica role: resize its content index (0 = keep the default, negative = disable)")
+		dedupe     = fs.Int("dedupe", 0, "primary role: enable ship-by-reference dedupe with this many index entries per replica (0 = off, negative = default bound; refused with -no-verify or -group); replica role: resize its content index (0 = keep the default, negative = disable)")
 		dedupeWarm = fs.Bool("dedupe-warm", false, "replica role: scan the device into the content index at startup so by-ref pushes resolve immediately after a restart")
 
 		group     = fs.String("group", "", "erasure-coded replica group shape k,n: writes stripe k-of-n across the replicas and commit on a k quorum (empty = mirror full copies)")

@@ -15,8 +15,9 @@ import (
 // gatedClient wraps a Loopback so a test can hold the shipper inside
 // its first delivery: everything the test writes while the gate is
 // closed piles up in the pipeline queue, and when the gate opens the
-// shipper drains exactly that backlog into one batch — deterministic
-// batch composition without sleeping.
+// shipper drains exactly that backlog into one push — deterministic
+// push composition without sleeping. It records every push: by value
+// in batches, and in byrefs when any entry ships by reference.
 type gatedClient struct {
 	inner   *Loopback
 	started chan struct{} // closed when the first delivery begins
@@ -24,8 +25,8 @@ type gatedClient struct {
 	once    sync.Once
 
 	mu      sync.Mutex
-	singles int
 	batches [][]iscsi.BatchEntry
+	byrefs  [][]iscsi.BatchEntry
 }
 
 func newGatedClient(r *ReplicaEngine) *gatedClient {
@@ -41,25 +42,21 @@ func (g *gatedClient) block() {
 	<-g.gate
 }
 
-func (g *gatedClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	g.block()
-	g.mu.Lock()
-	g.singles++
-	g.mu.Unlock()
-	return g.inner.ReplicaWrite(mode, seq, lba, hash, frame)
-}
-
-func (g *gatedClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+func (g *gatedClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	g.block()
 	copied := make([]iscsi.BatchEntry, len(entries))
+	dst := &g.batches
 	for i, e := range entries {
 		copied[i] = e
 		copied[i].Frame = append([]byte(nil), e.Frame...)
+		if e.ByRef() {
+			dst = &g.byrefs
+		}
 	}
 	g.mu.Lock()
-	g.batches = append(g.batches, copied)
+	*dst = append(*dst, copied)
 	g.mu.Unlock()
-	return g.inner.ReplicaWriteBatch(mode, entries)
+	return g.inner.Push(hdr, entries)
 }
 
 // batchPair builds a PRINS async engine whose single replica sits
@@ -129,13 +126,13 @@ func TestBatchCoalescesSameLBA(t *testing.T) {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.singles != 1 {
-		t.Errorf("first delivery: %d single pushes, want 1", g.singles)
+	if len(g.batches) != 2 {
+		t.Fatalf("got %d pushes, want 2 (the gated first write, then the backlog)", len(g.batches))
 	}
-	if len(g.batches) != 1 {
-		t.Fatalf("got %d batches, want 1", len(g.batches))
+	if len(g.batches[0]) != 1 {
+		t.Errorf("first delivery carries %d entries, want 1", len(g.batches[0]))
 	}
-	batch := g.batches[0]
+	batch := g.batches[1]
 	if len(batch) != 3 {
 		t.Fatalf("batch carries %d entries, want 3 (two LBA-5 frames merged)", len(batch))
 	}
@@ -256,46 +253,8 @@ func TestBatchMixedResultMarksOnlyDivergedDirty(t *testing.T) {
 	}
 }
 
-// singleOnlyClient hides Loopback's batching side, standing in for a
-// pre-batching replica client.
-type singleOnlyClient struct{ inner *Loopback }
-
-func (c *singleOnlyClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
-}
-
-// TestBatchFallsBackForSingleFrameClients: a client without
-// ReplicaWriteBatch keeps the v3 single-frame ship path even with
-// batching configured, and still converges.
-func TestBatchFallsBackForSingleFrameClients(t *testing.T) {
-	const bs, nb = 512, 32
-	primaryStore, err := block.NewMem(bs, nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaStore, err := block.NewMem(bs, nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(primaryStore, Config{Mode: ModePRINS, Async: true, BatchFrames: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.AttachReplica(&singleOnlyClient{inner: &Loopback{Replica: NewReplicaEngine(replicaStore)}})
-
-	writeWorkload(t, e, 42, 80)
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, "replica behind single-frame client", replicaStore, primaryStore)
-	if s := e.Traffic().Snapshot(); s.Batches != 0 {
-		t.Errorf("Batches = %d, want 0 for a client without batch support", s.Batches)
-	}
-}
-
-// TestBatchDisabled: BatchFrames 1 keeps even batch-capable clients on
-// the single-frame path.
+// TestBatchDisabled: BatchFrames 1 ships every frame as a push of one
+// entry.
 func TestBatchDisabled(t *testing.T) {
 	const bs, nb = 512, 32
 	e, _, primaryStore, replicaStore, g := batchPair(t, Config{
@@ -312,8 +271,10 @@ func TestBatchDisabled(t *testing.T) {
 	mustEqual(t, "replica with batching disabled", replicaStore, primaryStore)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.batches) != 0 {
-		t.Errorf("BatchFrames=1 still shipped %d batches", len(g.batches))
+	for i, push := range g.batches {
+		if len(push) != 1 {
+			t.Errorf("BatchFrames=1 push %d carries %d entries, want 1", i, len(push))
+		}
 	}
 	if s := e.Traffic().Snapshot(); s.Batches != 0 || s.Coalesced != 0 {
 		t.Errorf("Batches = %d, Coalesced = %d, want 0, 0", s.Batches, s.Coalesced)
@@ -465,11 +426,11 @@ func TestBatchSavedWireExcludesFailedCoalesced(t *testing.T) {
 	}
 
 	g.mu.Lock()
-	if len(g.batches) != 1 {
+	if len(g.batches) != 2 {
 		g.mu.Unlock()
-		t.Fatalf("got %d batches, want 1", len(g.batches))
+		t.Fatalf("got %d pushes, want 2 (the gated first write, then the backlog)", len(g.batches))
 	}
-	batch := g.batches[0]
+	batch := g.batches[1]
 	g.mu.Unlock()
 	if len(batch) != 3 {
 		t.Fatalf("batch carries %d entries, want 3 (two LBA-5 frames merged)", len(batch))
@@ -497,4 +458,53 @@ func TestBatchSavedWireExcludesFailedCoalesced(t *testing.T) {
 	if rs := e.ReplicaStats(); rs[0].Metrics.BatchSavedWire != want {
 		t.Errorf("per-replica BatchSavedWire = %d, want %d", rs[0].Metrics.BatchSavedWire, want)
 	}
+}
+
+// TestDrainSeesBatchCounters is the regression test for the batch
+// counter race: the shipper used to settle a push's messages before it
+// accounted the push, so Drain could return while Replicated and the
+// batch counters still lagged the writes it had waited for. Right after
+// every Drain, the snapshot must count every delivered write.
+func TestDrainSeesBatchCounters(t *testing.T) {
+	const bs, nb, rounds, burst = 512, 64, 3000, 16
+	primaryStore, err := block.NewMem(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaStore, err := block.NewMem(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(primaryStore, Config{Mode: ModePRINS, Async: true, BatchFrames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.AttachReplica(&Loopback{Replica: NewReplicaEngine(replicaStore)}); err != nil {
+		t.Fatal(err)
+	}
+
+	var writes int64
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < burst; i++ {
+			if err := e.WriteBlock(uint64((r*burst+i)%nb), fillBlock(bs, byte(r+i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes += burst
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if s := e.Traffic().Snapshot(); s.Replicated != writes {
+			t.Fatalf("round %d: Drain returned with Replicated = %d of %d delivered writes (batches %d)",
+				r, s.Replicated, writes, s.Batches)
+		}
+		if got := e.ReplicaStats()[0].Metrics.Shipped; got != writes {
+			t.Fatalf("round %d: Drain returned with replica Shipped = %d of %d", r, got, writes)
+		}
+	}
+	if s := e.Traffic().Snapshot(); s.Batches == 0 {
+		t.Error("no push carried more than one write; the race window was never exercised")
+	}
+	mustEqual(t, "replica", replicaStore, primaryStore)
 }

@@ -102,15 +102,17 @@ type seqCheckClient struct {
 	calls      int
 }
 
-func (c *seqCheckClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *seqCheckClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	c.mu.Lock()
-	if seq <= c.last {
-		c.violations++
+	for _, e := range entries {
+		if e.Seq <= c.last {
+			c.violations++
+		}
+		c.last = e.Seq
+		c.calls++
 	}
-	c.last = seq
-	c.calls++
 	c.mu.Unlock()
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.Push(hdr, entries)
 }
 
 func (c *seqCheckClient) stats() (violations, calls int) {
@@ -143,7 +145,9 @@ func TestConcurrentSameLBAOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			engine, err := NewEngine(primary, Config{Mode: ModePRINS, Async: async})
+			// One entry per push, so each replica observes every frame
+			// (same-LBA frames in a multi-entry push would coalesce).
+			engine, err := NewEngine(primary, Config{Mode: ModePRINS, Async: async, BatchFrames: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,10 +221,10 @@ type gateClient struct {
 	release chan struct{} // close to let all deliveries proceed
 }
 
-func (g *gateClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (g *gateClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	g.arrived <- struct{}{}
 	<-g.release
-	return g.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return g.inner.Push(hdr, entries)
 }
 
 // TestSyncShipsFanOutInParallel proves the tentpole property without
@@ -293,7 +297,7 @@ func TestSlowReplicaDoesNotStallOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewEngine(primary, Config{Mode: ModePRINS, Async: true, QueueDepth: writes})
+	engine, err := NewEngine(primary, Config{Mode: ModePRINS, Async: true, QueueDepth: writes, BatchFrames: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

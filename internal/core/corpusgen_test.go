@@ -11,25 +11,24 @@ import (
 	"prins/internal/iscsi"
 )
 
-// capturingClient records every replication frame and its on-the-wire
-// PDU encoding while forwarding to a real replica, so the fuzz corpora
-// are seeded with frames a live engine actually produced.
+// capturingClient records every replication frame and every push's
+// on-the-wire PDU encoding while forwarding to a real replica, so the
+// fuzz corpora are seeded with frames a live engine actually produced.
 type capturingClient struct {
 	inner  ReplicaClient
 	frames [][]byte
 	pdus   [][]byte
 }
 
-func (c *capturingClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	cp := append([]byte(nil), frame...)
-	c.frames = append(c.frames, cp)
+func (c *capturingClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	for _, e := range entries {
+		c.frames = append(c.frames, append([]byte(nil), e.Frame...))
+	}
 	var buf bytes.Buffer
-	p := iscsi.PDU{Op: iscsi.OpReplicaWrite, ITT: uint32(len(c.pdus) + 1),
-		Mode: mode, Seq: seq, LBA: lba, Data: cp}
-	if _, err := p.WriteTo(&buf); err == nil {
+	if _, err := iscsi.WritePush(&buf, uint32(len(c.pdus)+1), hdr, entries); err == nil {
 		c.pdus = append(c.pdus, buf.Bytes())
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.Push(hdr, entries)
 }
 
 // writeCorpusFile emits one seed in the "go test fuzz v1" format the
@@ -79,27 +78,29 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if len(cap.frames) < perMode {
-			t.Fatalf("%s: captured only %d frames", mode, len(cap.frames))
+		if len(cap.pdus) < perMode {
+			t.Fatalf("%s: captured only %d pushes", mode, len(cap.pdus))
 		}
 
-		// First frames plus the largest one, for size diversity.
-		picks := make(map[int]bool)
-		for i := 0; i < perMode; i++ {
-			picks[i] = true
-		}
-		largest := 0
-		for i, f := range cap.frames {
-			if len(f) > len(cap.frames[largest]) {
-				largest = i
+		// First seeds plus the largest one, for size diversity.
+		picks := func(seeds [][]byte) map[int]bool {
+			out := make(map[int]bool)
+			for i := 0; i < perMode; i++ {
+				out[i] = true
 			}
+			largest := 0
+			for i, s := range seeds {
+				if len(s) > len(seeds[largest]) {
+					largest = i
+				}
+			}
+			out[largest] = true
+			return out
 		}
-		picks[largest] = true
-
-		for i := range picks {
-			name := "engine-" + mode.String() + "-" + strconv.Itoa(i)
-			writeCorpusFile(t, pduDir, name, cap.pdus[i])
-			writeCorpusFile(t, frameDir, name, cap.frames[i])
+		for dir, seeds := range map[string][][]byte{pduDir: cap.pdus, frameDir: cap.frames} {
+			for i := range picks(seeds) {
+				writeCorpusFile(t, dir, "engine-"+mode.String()+"-"+strconv.Itoa(i), seeds[i])
+			}
 		}
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,38 +14,9 @@ import (
 	"prins/internal/resync"
 )
 
-// byrefGated extends the gated loopback client with the by-ref side,
-// so a test can pile a deterministic backlog behind the gate and watch
-// exactly which deliveries go out as references.
-type byrefGated struct {
-	gatedClient
-	byrefs [][]iscsi.BatchEntry
-}
-
-func newByrefGated(r *ReplicaEngine) *byrefGated {
-	return &byrefGated{gatedClient: gatedClient{
-		inner:   &Loopback{Replica: r},
-		started: make(chan struct{}),
-		gate:    make(chan struct{}),
-	}}
-}
-
-func (g *byrefGated) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	g.block()
-	copied := make([]iscsi.BatchEntry, len(entries))
-	for i, e := range entries {
-		copied[i] = e
-		copied[i].Frame = append([]byte(nil), e.Frame...)
-	}
-	g.mu.Lock()
-	g.byrefs = append(g.byrefs, copied)
-	g.mu.Unlock()
-	return g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
-}
-
 // byrefPair builds a PRINS async dedupe engine whose single replica
 // sits behind a gated by-ref-capable loopback client.
-func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEngine, block.Store, block.Store, *byrefGated) {
+func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEngine, block.Store, block.Store, *gatedClient) {
 	t.Helper()
 	primaryStore, err := block.NewMem(bs, nb)
 	if err != nil {
@@ -59,7 +32,7 @@ func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEn
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	g := newByrefGated(replica)
+	g := newGatedClient(replica)
 	e.AttachReplica(g)
 	return e, replica, primaryStore, replicaStore, g
 }
@@ -247,24 +220,21 @@ func (c *scriptedByRef) record(dst *[][]iscsi.BatchEntry, entries []iscsi.BatchE
 	c.mu.Unlock()
 }
 
-func (c *scriptedByRef) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *scriptedByRef) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	c.block()
-	return nil
-}
-
-func (c *scriptedByRef) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.block()
-	c.record(&c.batches, entries)
-	return make([]iscsi.Status, len(entries)), nil // all OK
-}
-
-func (c *scriptedByRef) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.block()
+	byref := false
+	for k := range entries {
+		byref = byref || entries[k].ByRef()
+	}
+	if !byref {
+		c.record(&c.batches, entries)
+		return make([]iscsi.Status, len(entries)), nil // all OK
+	}
 	c.record(&c.byrefs, entries)
 	statuses := make([]iscsi.Status, len(entries))
 	for k := range entries {
 		if entries[k].ByRef() && !c.resolvable[entries[k].Hash] {
-			// v7 suffix rule: the first unresolvable reference refuses
+			// Suffix rule: the first unresolvable reference refuses
 			// everything after it, applied or not.
 			for j := k; j < len(entries); j++ {
 				statuses[j] = iscsi.StatusRefMiss
@@ -321,9 +291,9 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 		lba  uint64
 		data []byte
 	}{
-		{1, contentX},        // A: delivered by reference
+		{1, contentX},         // A: delivered by reference
 		{2, fillBlock(bs, 4)}, // B: by value, lands on the first attempt
-		{3, contentZ},        // C: reference refused -> fallback
+		{3, contentZ},         // C: reference refused -> fallback
 		{4, fillBlock(bs, 5)}, // D: by value, dragged into the fallback
 	} {
 		if err := e.WriteBlock(w.lba, w.data); err != nil {
@@ -378,9 +348,10 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 	}
 }
 
-// TestDedupeIndexGating: the primary-side index only exists where the
-// fast path can work — a by-ref-capable client with verification on,
-// outside group mode.
+// TestDedupeIndexGating: the primary-side index exists exactly when
+// DedupeEntries is set; the knob combinations it cannot serve are
+// refused by Validate rather than silently ignored (see
+// TestDedupeKnobMatrix).
 func TestDedupeIndexGating(t *testing.T) {
 	newStore := func() block.Store {
 		s, err := block.NewMem(512, 16)
@@ -408,15 +379,73 @@ func TestDedupeIndexGating(t *testing.T) {
 	if e := attach(Config{Mode: ModePRINS}, loop()); e.ReplicaDedupe(0) != nil {
 		t.Error("DedupeEntries 0 must disable the index")
 	}
-	if e := attach(Config{Mode: ModePRINS, DedupeEntries: 64, DisableVerify: true}, loop()); e.ReplicaDedupe(0) != nil {
-		t.Error("DisableVerify leaves no content hashes to index")
-	}
-	if e := attach(Config{Mode: ModePRINS, DedupeEntries: 64},
-		&singleOnlyClient{inner: loop()}); e.ReplicaDedupe(0) != nil {
-		t.Error("a client without the by-ref verb must not get an index")
+	if _, err := NewEngine(newStore(), Config{Mode: ModePRINS, DedupeEntries: 64, DisableVerify: true}); !errors.Is(err, ErrDedupeNoVerify) {
+		t.Errorf("DisableVerify leaves no content hashes to index: NewEngine = %v, want ErrDedupeNoVerify", err)
 	}
 	if e := attach(Config{Mode: ModePRINS, DedupeEntries: 64}, nil); e != nil && e.ReplicaDedupe(5) != nil {
 		t.Error("out-of-range ReplicaDedupe must be nil")
+	}
+}
+
+// TestDedupeKnobMatrix walks dedupe across every combination of the
+// knobs it used to be silently ignored with — GroupMode, DisableVerify
+// and BatchFrames: 1. Each cell either fails Validate with a named
+// error or works end to end: repeated content ships by reference and
+// the replica converges.
+func TestDedupeKnobMatrix(t *testing.T) {
+	const bs, nb = 512, 32
+	for cell := 0; cell < 8; cell++ {
+		group, noVerify, frames1 := cell&1 != 0, cell&2 != 0, cell&4 != 0
+		cfg := Config{Mode: ModePRINS, DedupeEntries: 256, DisableVerify: noVerify}
+		if group {
+			cfg.Group = GroupConfig{K: 1, N: 2}
+		}
+		if frames1 {
+			cfg.BatchFrames = 1
+		}
+		var want error
+		switch {
+		case group:
+			want = ErrDedupeGroup
+		case noVerify:
+			want = ErrDedupeNoVerify
+		}
+		name := fmt.Sprintf("group=%v/noverify=%v/frames1=%v", group, noVerify, frames1)
+		t.Run(name, func(t *testing.T) {
+			if err := cfg.Validate(); !errors.Is(err, want) {
+				t.Fatalf("Validate = %v, want %v", err, want)
+			}
+			primaryStore, err := block.NewMem(bs, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(primaryStore, cfg)
+			if want != nil {
+				if !errors.Is(err, want) {
+					t.Fatalf("NewEngine = %v, want %v", err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			replicaStore, err := block.NewMem(bs, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AttachReplica(&Loopback{Replica: NewReplicaEngine(replicaStore)}); err != nil {
+				t.Fatal(err)
+			}
+			dupWorkload(t, e, 5, 200)
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if s := e.Traffic().Snapshot(); s.DedupeHits == 0 {
+				t.Errorf("no by-ref hits on a duplicate-heavy workload: %+v", s)
+			}
+			mustEqual(t, "replica", replicaStore, primaryStore)
+		})
 	}
 }
 

@@ -15,93 +15,17 @@ import (
 	"prins/internal/xcode"
 )
 
-// ReplicaClient transports one encoded replication frame to a replica
-// node. iscsi.Initiator implements it for remote replicas; Loopback
-// implements it in-process for tests and benchmarks. hash is the
-// content hash of the decoded new block (iscsi.HashBlock); zero means
-// the primary did not verify and the replica applies unchecked.
+// ReplicaClient delivers replication pushes to one replica node:
+// Push ships entries for the (vol, shard) stream named in hdr, with
+// hdr's group geometry (zero when mirroring), and returns one status
+// per entry. A transport failure returns an error and no statuses.
+// iscsi.Initiator implements it for remote replicas, Loopback
+// in-process, and resync.ResilientClient over a self-healing session.
 type ReplicaClient interface {
-	ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error
+	Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
 }
 
 var _ ReplicaClient = (*iscsi.Initiator)(nil)
-
-// BatchReplicaClient is the optional batching extension of
-// ReplicaClient: ship several frames in one round trip and get one
-// status per entry back, so a single diverged block cannot fail its
-// batch-mates. iscsi.Initiator and Loopback implement it; the pipeline
-// falls back to single-frame shipping for clients that don't.
-type BatchReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ BatchReplicaClient = (*iscsi.Initiator)(nil)
-
-// StreamReplicaClient is the stream-tagging extension of
-// ReplicaClient: a push carries the (vol, shard) replication stream it
-// belongs to, and the replica dedupes per stream. A sharded or
-// multi-volume engine requires it — interleaving independent per-shard
-// seq spaces into a replica's single dedupe cursor would silently drop
-// frames — so AttachReplica refuses plain clients when the engine has
-// more than one shard or a nonzero volume id.
-type StreamReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error
-}
-
-var _ StreamReplicaClient = (*iscsi.Initiator)(nil)
-
-// StreamBatchReplicaClient combines stream tagging with batching: one
-// wire batch whose entries all belong to one (vol, shard) stream.
-type StreamBatchReplicaClient interface {
-	StreamReplicaClient
-	ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ StreamBatchReplicaClient = (*iscsi.Initiator)(nil)
-
-// FramedReplicaClient is the zero-copy extension of ReplicaClient: the
-// engine hands over the pre-assembled PDU — iscsi.FrameHeadroom
-// reserved header bytes followed by the encoded frame — and the client
-// stamps the header in place and sends the buffer as one write, so a
-// single-frame ship performs no staging copy of the frame. The client
-// overwrites the headroom bytes, so the pipeline only takes this path
-// while it holds the buffer exclusively. The wire bytes are identical
-// to ReplicaWriteStream (v3 framing for a zero shard/vol tag).
-type FramedReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error
-}
-
-var _ FramedReplicaClient = (*iscsi.Initiator)(nil)
-
-// StripeReplicaClient is the k-of-n replica-group extension of
-// ReplicaClient: ship the stripe units queued for one replica in one
-// round trip, tagged with the group geometry, and get one status per
-// entry back. A GroupMode engine requires it — unit frames decode to
-// unit-sized payloads a plain replica push would misapply — so
-// AttachReplica refuses clients without it when Config.Group is set.
-type StripeReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ StripeReplicaClient = (*iscsi.Initiator)(nil)
-
-// ByRefReplicaClient is the content-addressed extension of
-// ReplicaClient: ship a mixed by-ref/by-value batch for one (vol,
-// shard) stream — entries whose content the replica is believed to
-// already hold travel as 28-byte references instead of frames — and
-// get one status per entry back, StatusRefMiss marking references the
-// replica could not resolve (the primary re-ships those by value).
-// The dedupe fast path engages only for clients that implement it.
-type ByRefReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 
 // ParityWriter is the optional fast path a RAID array provides: a
 // write that returns the forward parity it computed anyway while
@@ -177,14 +101,12 @@ type Config struct {
 	// mode) or on Drain (async mode), as they always have.
 	AllowDegraded bool
 	// BatchFrames caps how many queued frames one shipper delivery may
-	// carry in a single batched wire PDU. The shipper drains
-	// opportunistically: whatever is queued when it wakes (up to the
-	// caps) goes out as one batch, so an idle pipeline still ships each
-	// frame immediately and it is backlog — WAN latency, bursts — that
-	// forms batches. Zero means the default (32); 1 disables batching
-	// entirely (every frame ships as a single-frame op, byte-identical
-	// to the pre-batching wire format). Ignored for replica clients
-	// that do not implement BatchReplicaClient.
+	// carry in a single push. The shipper drains opportunistically:
+	// whatever is queued when it wakes (up to the caps) goes out as one
+	// push, so an idle pipeline still ships each frame immediately and
+	// it is backlog — WAN latency, bursts — that forms batches. Zero
+	// means the default (32); 1 disables batching (every push carries
+	// one entry).
 	BatchFrames int
 	// BatchBytes soft-caps the encoded payload bytes of one batch:
 	// draining stops once the accumulated frames reach it (the frame
@@ -203,17 +125,15 @@ type Config struct {
 	// per-replica ship pipelines, so writers on different shards never
 	// contend. Same-LBA ordering is preserved (an LBA always maps to
 	// the same shard); cross-shard ordering is undefined, which is safe
-	// because shards own disjoint LBA ranges. Zero or one keeps the
-	// historical single-lock engine with untagged wire framing; more
-	// than one requires stream-capable replica clients (see
-	// StreamReplicaClient). Maximum MaxShards.
+	// because shards own disjoint LBA ranges. Every push names its
+	// shard, and the replica keeps one seq cursor per (vol, shard)
+	// stream. Zero or one keeps the single-lock engine. Maximum
+	// MaxShards.
 	Shards int
 	// Volume tags every replication stream this engine ships with a
 	// volume id, so several logical volumes can multiplex their pushes
-	// over one shared replica session (see VolumeManager). Zero — the
-	// default for a standalone engine — leaves single-shard framing
-	// untagged and wire-compatible with pre-sharding peers; nonzero
-	// requires stream-capable replica clients.
+	// over one shared replica session (see VolumeManager). Zero is the
+	// default for a standalone engine.
 	Volume uint16
 	// FlushWindow enables primary-side group commit: writers landing on
 	// the same shard within the window are drained as one unit — a
@@ -232,22 +152,21 @@ type Config struct {
 	// RS-striped K-of-N across the replica set with quorum commit and
 	// unit-sized replica stores. See GroupConfig. Incompatible with
 	// FlushWindow (group commit batches whole-block frames; a striped
-	// write already fans out per unit).
+	// write already fans out per unit) and with DedupeEntries.
 	Group GroupConfig
 	// DedupeEntries enables the content-addressed ship-by-reference
 	// fast path and bounds the per-replica index backing it: for each
-	// attached by-ref-capable replica the engine tracks up to this many
-	// (lba -> content hash) pairs it believes the replica holds, fed by
-	// acknowledged ships and resync scans. A batched ship whose entry's
-	// content hash is already indexed sends the 28-byte reference
-	// instead of the parity frame (wire protocol v7); a replica-side
-	// miss falls back to re-shipping the frame, so correctness never
-	// depends on the index. Zero (the default) disables the fast path
-	// entirely; the index is advisory and ineffective when verification
-	// is off (DisableVerify — no content hashes to address by), when
-	// batching is disabled (BatchFrames: 1), or in GroupMode (unit
-	// frames are replica-specific stripes, not content-addressable
-	// blocks). Negative selects the default bound (dedupe.DefaultEntries).
+	// attached replica the engine tracks up to this many (lba -> content
+	// hash) pairs it believes the replica holds, fed by acknowledged
+	// ships and resync scans. A push entry whose content hash is already
+	// indexed ships as a 28-byte reference instead of the parity frame;
+	// a replica-side miss falls back to re-shipping the frame, so
+	// correctness never depends on the index. Zero (the default)
+	// disables the fast path; negative selects the default bound
+	// (dedupe.DefaultEntries). Validate refuses it together with
+	// DisableVerify (ErrDedupeNoVerify: no content hashes to address by)
+	// and with Group (ErrDedupeGroup: unit frames are replica-specific
+	// stripes, not content-addressable blocks).
 	DedupeEntries int
 	// FlushFrames caps how many queued writes one group-commit flush
 	// drains per shard-lock pass (a larger backlog commits in
@@ -312,6 +231,12 @@ func (c Config) Validate() error {
 		if c.FlushWindow > 0 {
 			return fmt.Errorf("core: GroupMode is incompatible with FlushWindow group commit")
 		}
+		if c.DedupeEntries != 0 {
+			return ErrDedupeGroup
+		}
+	}
+	if c.DedupeEntries != 0 && c.DisableVerify {
+		return ErrDedupeNoVerify
 	}
 	return nil
 }
@@ -319,13 +244,14 @@ func (c Config) Validate() error {
 // ErrEngineClosed is returned for writes after Close.
 var ErrEngineClosed = errors.New("core: engine closed")
 
-// ErrStreamClient reports a replica client attached to a sharded or
-// multi-volume engine without stream-tagging support.
-var ErrStreamClient = errors.New("core: sharded engine requires a stream-capable replica client")
+// ErrDedupeGroup reports DedupeEntries set on a GroupMode engine: a
+// stripe unit is not a whole block, so there is no content to ship by
+// reference.
+var ErrDedupeGroup = errors.New("core: dedupe is incompatible with GroupMode")
 
-// ErrStripeClient reports a replica client attached to a GroupMode
-// engine without stripe support.
-var ErrStripeClient = errors.New("core: GroupMode engine requires a stripe-capable replica client")
+// ErrDedupeNoVerify reports DedupeEntries set with DisableVerify: an
+// unverified push carries no content hash to address by.
+var ErrDedupeNoVerify = errors.New("core: dedupe requires verification (DisableVerify is set)")
 
 // ErrGroupReplicas reports a GroupMode write attempted without exactly
 // N attached replicas, or an attach beyond the group size.
@@ -494,12 +420,6 @@ func NewEngine(local block.Store, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// needsStream reports whether this engine's pushes must carry stream
-// tags: more than one shard, or a volume id to multiplex under.
-func (e *Engine) needsStream() bool {
-	return len(e.shards) > 1 || e.cfg.Volume != 0
-}
-
 // shardOf routes an LBA to its shard. Out-of-range LBAs clamp to the
 // last shard; the store rejects them with ErrOutOfRange anyway.
 func (e *Engine) shardOf(lba uint64) *shard {
@@ -532,31 +452,17 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot { return e.shardM.Snapshot
 
 // AttachReplica adds a replication destination and starts one ship
 // pipeline per shard for it. Not safe to call concurrently with
-// writes; attach replicas before serving I/O. When the engine is
-// sharded or volume-tagged the client must implement
-// StreamReplicaClient — per-shard seq spaces folded into a replica's
-// single dedupe cursor would silently drop frames — so plain clients
-// are refused with ErrStreamClient. When the retry policy carries a
-// per-attempt timeout and the client supports request deadlines, the
-// timeout is installed here.
+// writes; attach replicas before serving I/O. In GroupMode the attach
+// order is the unit order, and at most N replicas attach. When the
+// retry policy carries a per-attempt timeout and the client supports
+// request deadlines, the timeout is installed here.
 func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	rs := &replicaState{client: rc}
-	if sc, ok := rc.(StreamReplicaClient); ok {
-		rs.stream = sc
-	}
-	if e.needsStream() && rs.stream == nil {
-		return ErrStreamClient
-	}
 	if e.rsCodec != nil {
 		if len(e.replicas) >= e.cfg.Group.N {
 			return fmt.Errorf("%w: group is n=%d, replica %d refused",
 				ErrGroupReplicas, e.cfg.Group.N, len(e.replicas))
 		}
-		stc, ok := rc.(StripeReplicaClient)
-		if !ok {
-			return ErrStripeClient
-		}
-		rs.stripeC = stc
 		rs.unitIdx = uint8(len(e.replicas)) // attach order = unit index
 	}
 	if e.retry.Timeout > 0 {
@@ -564,24 +470,8 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			rt.SetRequestTimeout(e.retry.Timeout)
 		}
 	}
-	if bc, ok := rc.(BatchReplicaClient); ok {
-		rs.batch = bc
-	}
-	if sbc, ok := rc.(StreamBatchReplicaClient); ok {
-		rs.sbatch = sbc
-	}
-	if fc, ok := rc.(FramedReplicaClient); ok {
-		rs.framed = fc
-	}
-	if brc, ok := rc.(ByRefReplicaClient); ok {
-		rs.byref = brc
-		// The by-ref fast path lives on the batched ship path (the
-		// fallback re-ship needs the batch extension too) and addresses
-		// whole-block content hashes, which GroupMode's unit frames are
-		// not; outside those conditions the index would only go stale.
-		if e.cfg.DedupeEntries != 0 && e.rsCodec == nil && !e.cfg.DisableVerify {
-			rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
-		}
+	if e.cfg.DedupeEntries != 0 {
+		rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
 	}
 	e.replicas = append(e.replicas, rs)
 	rs.pipes = make([]*pipe, len(e.shards))
@@ -715,8 +605,7 @@ func (e *Engine) ClearDegraded() {
 }
 
 // ReplicaDedupe returns replica i's primary-side dedupe index, or nil
-// when the fast path is off for it (DedupeEntries unset or the client
-// lacks by-ref support). Resync warms it through this handle: a block
+// when the fast path is off (DedupeEntries unset). Resync warms it through this handle: a block
 // confirmed equal or repaired is content the replica provably holds.
 func (e *Engine) ReplicaDedupe(i int) *dedupe.Index {
 	if i < 0 || i >= len(e.replicas) {
@@ -891,7 +780,7 @@ func (e *Engine) writeStriped(s *shard, lba uint64, data []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: have %d, group is n=%d", ErrGroupReplicas, len(s.pipes), n)
 	}
-	src, err := e.stripeSource(s, lba, data)
+	src, err := e.applySource(s, lba, data)
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -990,17 +879,21 @@ func (e *Engine) writeStriped(s *shard, lba uint64, data []byte) error {
 	return firstErr // unreachable: a branch above always returns first
 }
 
-// stripeSource performs the local apply of a GroupMode write and
-// returns the byte source the stripe units code over — the forward
-// parity in ModePRINS, the new data otherwise — or nil when the write
-// is elided (SkipUnchanged and nothing changed). Called with s.mu
-// held; the returned slice aliases shard scratch (or the caller's
-// data) and is valid until the lock is released.
-func (e *Engine) stripeSource(s *shard, lba uint64, data []byte) ([]byte, error) {
+// applySource performs the local write and returns the bytes a
+// replica push encodes — the forward parity in ModePRINS, the new data
+// otherwise — or nil when the write is elided (SkipUnchanged and
+// nothing changed). Called with s.mu held; the returned slice aliases
+// shard scratch (or the caller's data) and is valid until the lock is
+// released. The mirror path encodes it whole (applyLocal), GroupMode
+// RS-stripes it first (writeStriped).
+func (e *Engine) applySource(s *shard, lba uint64, data []byte) ([]byte, error) {
 	bs := e.local.BlockSize()
 	if len(data) != bs {
 		return nil, fmt.Errorf("%w: %d != %d", block.ErrBadBufSize, len(data), bs)
 	}
+	// Hot-path counters live in the shard's own cache-line-sized bank;
+	// Traffic folds the banks into its totals on Snapshot, so the write
+	// path never touches a cache line shared with another shard.
 	e.shardM.AddWrite(int(s.id), bs)
 	switch e.cfg.Mode {
 	case ModeTraditional, ModeCompressed:
@@ -1012,11 +905,15 @@ func (e *Engine) stripeSource(s *shard, lba uint64, data []byte) ([]byte, error)
 	case ModePRINS:
 		start := time.Now()
 		fp := s.fpBuf
+		// nz is the parity's non-zero byte count when a consumer needs
+		// it (density recording or skip detection); -1 otherwise.
 		nz := -1
 		wantNZ := e.cfg.RecordDensity || e.cfg.SkipUnchanged
 		if e.pw != nil {
-			// RAID fast path, exactly as in applyLocal: copy the shared
-			// parity result into shard scratch under pwMu.
+			// RAID fast path: the array hands us P' it computed anyway.
+			// The array's parity buffer is shared, so the call serializes
+			// across shards and the result is copied into the shard's own
+			// scratch before the lock is released.
 			e.pwMu.Lock()
 			res, err := e.pw.WriteBlockWithParity(lba, data)
 			if err != nil {
@@ -1033,6 +930,9 @@ func (e *Engine) stripeSource(s *shard, lba uint64, data []byte) ([]byte, error)
 				return nil, fmt.Errorf("core: read pre-image: %w", err)
 			}
 			if wantNZ {
+				// Fused kernel: the XOR and the non-zero scan share one
+				// pass over the block, so density recording and
+				// skip-unchanged detection cost no second walk.
 				var err error
 				if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
 					return nil, err
@@ -1216,98 +1116,28 @@ func (e *Engine) commitChunk(s *shard, chunk []*gcReq) {
 // replication. Called with s.mu held; scratch buffers are the shard's
 // own.
 func (e *Engine) applyLocal(s *shard, lba uint64, data []byte) (*frameBuf, error) {
-	bs := e.local.BlockSize()
-	if len(data) != bs {
-		return nil, fmt.Errorf("%w: %d != %d", block.ErrBadBufSize, len(data), bs)
+	src, err := e.applySource(s, lba, data)
+	if err != nil || src == nil {
+		return nil, err
 	}
-	// Hot-path counters live in the shard's own cache-line-sized bank;
-	// Traffic folds the banks into its totals on Snapshot, so the write
-	// path never touches a cache line shared with another shard.
-	e.shardM.AddWrite(int(s.id), bs)
-
+	start := time.Now()
+	fb := getFrame()
+	var buf []byte
 	switch e.cfg.Mode {
-	case ModeTraditional, ModeCompressed:
-		if err := e.local.WriteBlock(lba, data); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		codec := xcode.CodecRaw
-		if e.cfg.Mode == ModeCompressed {
-			codec = xcode.CodecFlate
-		}
-		fb := getFrame()
-		buf, err := xcode.AppendEncode(fb.buf, codec, data)
-		e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-		if err != nil {
-			framePool.Put(fb)
-			return nil, fmt.Errorf("core: encode: %w", err)
-		}
-		fb.buf = buf
-		return fb, nil
-
-	case ModePRINS:
-		start := time.Now()
-		fp := s.fpBuf
-		// nz is the parity's non-zero byte count when a consumer needs
-		// it (density recording or skip detection); -1 otherwise.
-		nz := -1
-		wantNZ := e.cfg.RecordDensity || e.cfg.SkipUnchanged
-		if e.pw != nil {
-			// RAID fast path: the array hands us P' it computed anyway.
-			// The array's parity buffer is shared, so the call serializes
-			// across shards and the result is copied into the shard's own
-			// scratch before the lock is released.
-			e.pwMu.Lock()
-			res, err := e.pw.WriteBlockWithParity(lba, data)
-			if err != nil {
-				e.pwMu.Unlock()
-				return nil, err
-			}
-			copy(fp, res)
-			e.pwMu.Unlock()
-			if wantNZ {
-				nz = parity.NonZeroBytes(fp)
-			}
-		} else {
-			if err := e.local.ReadBlock(lba, s.oldBuf); err != nil {
-				return nil, fmt.Errorf("core: read pre-image: %w", err)
-			}
-			if wantNZ {
-				// Fused kernel: the XOR and the non-zero scan share one
-				// pass over the block, so density recording and
-				// skip-unchanged detection cost no second walk.
-				var err error
-				if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
-					return nil, err
-				}
-			} else if err := parity.ForwardInto(fp, data, s.oldBuf); err != nil {
-				return nil, err
-			}
-			if err := e.local.WriteBlock(lba, data); err != nil {
-				return nil, err
-			}
-		}
-		if e.cfg.RecordDensity {
-			e.density.Record(parity.Density{ChangedBytes: nz, BlockBytes: bs})
-		}
-		if e.cfg.SkipUnchanged && nz == 0 {
-			e.shardM.AddSkipped(int(s.id))
-			e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-			return nil, nil
-		}
-		fb := getFrame()
-		buf, err := xcode.AppendEncodeBest(fb.buf, fp, e.cfg.Codecs...)
-		e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-		if err != nil {
-			framePool.Put(fb)
-			return nil, fmt.Errorf("core: encode parity: %w", err)
-		}
-		fb.buf = buf
-		return fb, nil
-
+	case ModeTraditional:
+		buf, err = xcode.AppendEncode(fb.buf, xcode.CodecRaw, src)
+	case ModeCompressed:
+		buf, err = xcode.AppendEncode(fb.buf, xcode.CodecFlate, src)
 	default:
-		return nil, fmt.Errorf("core: invalid mode %d", uint8(e.cfg.Mode))
+		buf, err = xcode.AppendEncodeBest(fb.buf, src, e.cfg.Codecs...)
 	}
+	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
+	if err != nil {
+		framePool.Put(fb)
+		return nil, fmt.Errorf("core: encode: %w", err)
+	}
+	fb.buf = buf
+	return fb, nil
 }
 
 // Drain blocks until every replica pipeline has shipped its queued
@@ -1317,6 +1147,14 @@ func (e *Engine) applyLocal(s *shard, lba uint64, data []byte) (*frameBuf, error
 // lifecycle completes: ClearDegraded forgets it once the replica has
 // been healed.
 func (e *Engine) Drain() error {
+	// Every enqueue counts itself pending under its shard lock; cycling
+	// the locks orders those counts before the waits below, including
+	// for writes whose caller learned of completion only over the
+	// network (a target session), which the memory model cannot see.
+	for _, s := range e.shards {
+		s.mu.Lock()
+		s.mu.Unlock() //nolint:staticcheck // empty section is the barrier
+	}
 	for _, rs := range e.replicas {
 		rs.pending.Wait()
 	}
@@ -1380,10 +1218,10 @@ func (e *Engine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return iscsi.StatusOK
 }
 
-// HandleReplica implements iscsi.Backend. A primary engine does not
+// HandlePush implements iscsi.Backend. A primary engine does not
 // accept pushes; use ReplicaEngine on replica nodes.
-func (e *Engine) HandleReplica(uint8, uint64, uint64, uint64, []byte) iscsi.Status {
-	return iscsi.StatusBadRequest
+func (e *Engine) HandlePush(_ iscsi.PushHeader, entries []iscsi.BatchEntry) []iscsi.Status {
+	return iscsi.Refuse(len(entries), iscsi.StatusBadRequest)
 }
 
 // statusOf maps an apply/store error to its wire status. The typed

@@ -283,12 +283,27 @@ func TestRAIDFastPath(t *testing.T) {
 	}
 }
 
+// applyOne applies a one-entry mirror push on the default stream and
+// returns the error a replica client reports for its status.
+func applyOne(r *ReplicaEngine, mode Mode, seq, lba, hash uint64, frame []byte) error {
+	st := r.ApplyPush(iscsi.PushHeader{Mode: uint8(mode)},
+		[]iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame}})[0]
+	if st == iscsi.StatusOK {
+		return nil
+	}
+	return iscsi.ReplicaStatusErr(lba, st)
+}
+
 func TestReplicaRejectsBadFrames(t *testing.T) {
 	store, _ := block.NewMem(512, 8)
 	r := NewReplicaEngine(store)
+	status := func(mode Mode, lba uint64, frame []byte) iscsi.Status {
+		return r.ApplyPush(iscsi.PushHeader{Mode: uint8(mode)},
+			[]iscsi.BatchEntry{{Seq: 1, LBA: lba, Frame: frame}})[0]
+	}
 
-	if err := r.Apply(ModePRINS, 1, 0, 0, []byte{0xFF, 0xFF}); err == nil {
-		t.Error("corrupt frame accepted")
+	if st := status(ModePRINS, 0, []byte{0xFF, 0xFF}); st != iscsi.StatusDecodeError {
+		t.Errorf("corrupt frame: %v, want DECODE-ERROR", st)
 	}
 
 	// Valid frame, wrong decoded size for the device.
@@ -296,8 +311,8 @@ func TestReplicaRejectsBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(ModeTraditional, 1, 0, 0, frame); !errors.Is(err, block.ErrBadBufSize) {
-		t.Errorf("wrong-size frame: err = %v, want ErrBadBufSize", err)
+	if st := status(ModeTraditional, 0, frame); st != iscsi.StatusBadRequest {
+		t.Errorf("wrong-size frame: %v, want BAD-REQUEST", st)
 	}
 
 	// Valid frame, invalid mode byte.
@@ -305,13 +320,13 @@ func TestReplicaRejectsBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(Mode(99), 1, 0, 0, frame); err == nil {
+	if st := status(Mode(99), 0, frame); st == iscsi.StatusOK {
 		t.Error("invalid mode accepted")
 	}
 
 	// Out-of-range LBA.
-	if err := r.Apply(ModeTraditional, 1, 999, 0, frame); !errors.Is(err, block.ErrOutOfRange) {
-		t.Errorf("OOB apply: err = %v, want ErrOutOfRange", err)
+	if st := status(ModeTraditional, 999, frame); st != iscsi.StatusOutOfRange {
+		t.Errorf("OOB apply: %v, want OUT-OF-RANGE", st)
 	}
 }
 
@@ -387,7 +402,9 @@ func TestMultipleReplicas(t *testing.T) {
 // failClient is a ReplicaClient whose deliveries always fail.
 type failClient struct{ err error }
 
-func (f *failClient) ReplicaWrite(uint8, uint64, uint64, uint64, []byte) error { return f.err }
+func (f *failClient) Push(iscsi.PushHeader, []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	return nil, f.err
+}
 
 // TestTrafficCountsOnlyDeliveredFrames is the accounting regression:
 // ship used to count a frame as replicated payload/wire bytes before
@@ -513,8 +530,8 @@ func TestEngineBackendStatuses(t *testing.T) {
 	if _, st := e.HandleRead(7, 2, nil); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleRead = %v", st)
 	}
-	if st := e.HandleReplica(1, 1, 0, 0, nil); st.String() != "BAD-REQUEST" {
-		t.Errorf("primary HandleReplica = %v", st)
+	if st := e.HandlePush(iscsi.PushHeader{Mode: 1}, []iscsi.BatchEntry{{Seq: 1, Frame: []byte{1}}}); len(st) != 1 || st[0] != iscsi.StatusBadRequest {
+		t.Errorf("primary HandlePush = %v", st)
 	}
 }
 

@@ -140,14 +140,10 @@ func TestGroupSkipUnchanged(t *testing.T) {
 	rig.verifyReconstruct(t)
 }
 
-// stripeFailClient is a stripe-capable client whose deliveries fail.
+// stripeFailClient is a replica client whose deliveries fail.
 type stripeFailClient struct{}
 
-func (stripeFailClient) ReplicaWrite(uint8, uint64, uint64, uint64, []byte) error {
-	return errors.New("synthetic replica failure")
-}
-
-func (stripeFailClient) ReplicaWriteStripe(uint8, uint8, uint16, iscsi.StripeHeader, []iscsi.BatchEntry) ([]iscsi.Status, error) {
+func (stripeFailClient) Push(iscsi.PushHeader, []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	return nil, errors.New("synthetic replica failure")
 }
 
@@ -331,6 +327,11 @@ func TestGroupDivergedUnitCountsAgainstQuorum(t *testing.T) {
 		if err := write(t, rig, 2, 0x11); err != nil {
 			t.Fatal(err)
 		}
+		// The write returned at quorum; let the third unit land before
+		// poisoning it, or its own apply overwrites the poison.
+		if err := rig.e.Drain(); err != nil {
+			t.Fatal(err)
+		}
 		poison(t, rig, 2, 2)
 		if err := write(t, rig, 2, 0x22); err != nil {
 			t.Fatalf("quorum write failed over one diverged unit: %v", err)
@@ -369,11 +370,6 @@ func TestGroupConfigValidation(t *testing.T) {
 	}
 	defer e.Close()
 
-	// A stripe-less client is refused.
-	type plainClient struct{ ReplicaClient }
-	if err := e.AttachReplica(plainClient{}); !errors.Is(err, ErrStripeClient) {
-		t.Fatalf("plain client attach: %v", err)
-	}
 	// Writes before the group is fully attached are refused.
 	buf := make([]byte, 512)
 	if err := e.WriteBlock(0, buf); !errors.Is(err, ErrGroupReplicas) {
@@ -408,13 +404,28 @@ func TestGroupConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A replica refuses stripes whose geometry does not match its own.
+	// A replica refuses pushes whose geometry does not match its own:
+	// another unit's stripe, a mirror push to a group member, and a
+	// stripe push to a mirror replica.
 	if err := extra.SetGroupUnit(0, 2, 0); err == nil {
 		t.Fatal("SetGroupUnit accepted k=0")
 	}
-	sts := extra.HandleReplicaStripe(uint8(ModePRINS), 0, 0,
-		iscsi.StripeHeader{K: 2, N: 2, Idx: 0}, []iscsi.BatchEntry{{Seq: 1}})
-	if len(sts) != 1 || sts[0] != iscsi.StatusBadRequest {
-		t.Fatalf("geometry mismatch statuses: %v", sts)
+	mirror, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		r     *ReplicaEngine
+		group iscsi.StripeHeader
+	}{
+		"other geometry":        {extra, iscsi.StripeHeader{K: 2, N: 2, Idx: 0}},
+		"mirror push to member": {extra, iscsi.StripeHeader{}},
+		"stripe push to mirror": {NewReplicaEngine(mirror), iscsi.StripeHeader{K: 1, N: 2, Idx: 0}},
+	} {
+		sts := tc.r.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS), Group: tc.group},
+			[]iscsi.BatchEntry{{Seq: 1, Frame: []byte{1}}, {Seq: 2, Hash: 7}})
+		if len(sts) != 2 || sts[0] != iscsi.StatusBadRequest || sts[1] != iscsi.StatusBadRequest {
+			t.Fatalf("%s: statuses %v, want the whole push refused", name, sts)
+		}
 	}
 }

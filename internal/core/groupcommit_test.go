@@ -239,7 +239,7 @@ func TestChaosGroupApplyTornMidBatch(t *testing.T) {
 
 	t.Run("redeliver", func(t *testing.T) {
 		inner, _, _, rep, entries, news := groupApplySetup(t, 2)
-		statuses := rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+		statuses := rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 		if statuses[0] != iscsi.StatusOK {
 			t.Errorf("entry 0 (written before the tear) = %v, want OK", statuses[0])
 		}
@@ -249,7 +249,7 @@ func TestChaosGroupApplyTornMidBatch(t *testing.T) {
 
 		// The primary redelivers the batch it saw partially refused: the
 		// journal replays the whole group first, then every entry dedupes.
-		statuses = rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+		statuses = rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 		for k, st := range statuses {
 			if st != iscsi.StatusOK {
 				t.Errorf("redelivered entry %d = %v, want OK", k, st)
@@ -266,7 +266,7 @@ func TestChaosGroupApplyTornMidBatch(t *testing.T) {
 
 	t.Run("restart", func(t *testing.T) {
 		inner, faulted, backing, rep, entries, news := groupApplySetup(t, 2)
-		rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+		rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 		_ = rep // crash: only the store and journal backing survive
 
 		rep2, err := NewReplicaEngineJournaled(faulted, journal.New(backing))
@@ -281,13 +281,13 @@ func TestChaosGroupApplyTornMidBatch(t *testing.T) {
 
 	t.Run("first-write-torn", func(t *testing.T) {
 		inner, _, _, rep, entries, news := groupApplySetup(t, 1)
-		statuses := rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+		statuses := rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 		for k, st := range statuses {
 			if st != iscsi.StatusStoreError {
 				t.Errorf("entry %d = %v, want StoreError (nothing committed)", k, st)
 			}
 		}
-		statuses = rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+		statuses = rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 		for k, st := range statuses {
 			if st != iscsi.StatusOK {
 				t.Errorf("redelivered entry %d = %v, want OK", k, st)
@@ -330,7 +330,7 @@ func TestGroupApplyMatchesPerEntry(t *testing.T) {
 		{Seq: 2, LBA: 4, Hash: h2, Frame: f2},                   // chains off entry 0's staged block
 		{Seq: 3, LBA: 7, Hash: iscsi.HashBlock(old), Frame: f3}, // hash cannot match: diverged
 	}
-	statuses := rep.ApplyBatchStream(ModePRINS, 0, 0, entries)
+	statuses := rep.ApplyPush(iscsi.PushHeader{Mode: uint8(ModePRINS)}, entries)
 	want := []iscsi.Status{iscsi.StatusOK, iscsi.StatusOK, iscsi.StatusOK, iscsi.StatusDiverged}
 	for k := range want {
 		if statuses[k] != want[k] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prins/internal/block"
+	"prins/internal/iscsi"
 )
 
 // flakyClient forwards to inner and fails on demand.
@@ -22,14 +23,14 @@ func (c *flakyClient) setFail(v bool) {
 	c.mu.Unlock()
 }
 
-func (c *flakyClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *flakyClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	c.mu.Lock()
 	fail := c.fail
 	c.mu.Unlock()
 	if fail {
-		return errors.New("flaky: injected delivery failure")
+		return nil, errors.New("flaky: injected delivery failure")
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.Push(hdr, entries)
 }
 
 // TestDrainErrorClearsOnRecovery is the sticky-error regression: an

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -56,30 +55,14 @@ type repMsg struct {
 // accessors.
 type replicaState struct {
 	client ReplicaClient
-	// batch is client's batching extension when it has one; nil keeps
-	// the single-frame ship path. Used for untagged pipes only.
-	batch BatchReplicaClient
-	// stream is client's stream-tagging extension; required (non-nil)
-	// when the engine is sharded or volume-tagged.
-	stream StreamReplicaClient
-	// sbatch combines both; nil disables batching on tagged pipes.
-	sbatch StreamBatchReplicaClient
-	// framed is client's zero-copy extension; when set, a single-frame
-	// ship whose pipeline holds the pooled buffer exclusively hands the
-	// whole pre-assembled PDU over instead of staging a copy.
-	framed FramedReplicaClient
-	// stripeC is client's k-of-n stripe extension; required (non-nil)
-	// when the engine runs in GroupMode, in which case unitIdx is the
-	// stripe unit this replica stores (= attach order).
-	stripeC StripeReplicaClient
+	// unitIdx is the stripe unit this replica stores in GroupMode
+	// (= attach order).
 	unitIdx uint8
-	// byref is client's content-addressed extension; dedupe, when
-	// non-nil (Config.DedupeEntries set and the client supports by-ref
-	// pushes), is the bounded (lba -> content hash) index of what the
-	// engine believes this replica holds — the ship-by-reference fast
-	// path's consult source, fed by acknowledged ships and resync,
-	// invalidated wherever an LBA goes dirty or the replica degrades.
-	byref  ByRefReplicaClient
+	// dedupe, when non-nil (Config.DedupeEntries set), is the bounded
+	// (lba -> content hash) index of what the engine believes this
+	// replica holds — the ship-by-reference fast path's consult source,
+	// fed by acknowledged ships and resync, invalidated wherever an LBA
+	// goes dirty or the replica degrades.
 	dedupe *dedupe.Index
 
 	m     metrics.Replica
@@ -149,23 +132,9 @@ func (p *pipe) markDirty(lba uint64) {
 	}
 }
 
-// tagged reports whether this pipe's wire frames carry a stream tag.
-// Shard 0 of a volume-0 engine ships untagged, byte-identical to the
-// pre-sharding wire format — which is consistent, because the replica
-// folds the untagged stream and stream (0,0) into the same cursor.
-func (e *Engine) tagged(p *pipe) bool {
-	return p.shard.id != 0 || e.cfg.Volume != 0
-}
-
 // frameBuf is a pooled, reference-counted encode buffer. One frame is
 // shared by every replica's queue; the last pipeline to finish with it
 // returns it to the pool, killing the per-write frame allocation.
-//
-// buf is a complete wire PDU in the making: iscsi.FrameHeadroom bytes
-// reserved for the replica-write header, then the encoded frame. The
-// encode path appends the frame after the headroom, frame() exposes
-// just the frame, and a FramedReplicaClient stamps the header into the
-// headroom and sends buf whole — zero copies between encode and wire.
 type frameBuf struct {
 	buf  []byte
 	refs atomic.Int32
@@ -173,23 +142,15 @@ type frameBuf struct {
 
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
-// getFrame fetches a frame buffer from the pool with the header
-// headroom reserved and no frame bytes.
+// getFrame fetches an empty frame buffer from the pool.
 func getFrame() *frameBuf {
 	fb, ok := framePool.Get().(*frameBuf)
 	if !ok {
 		fb = new(frameBuf)
 	}
-	if cap(fb.buf) < iscsi.FrameHeadroom {
-		fb.buf = make([]byte, iscsi.FrameHeadroom, iscsi.FrameHeadroom+512)
-	} else {
-		fb.buf = fb.buf[:iscsi.FrameHeadroom]
-	}
+	fb.buf = fb.buf[:0]
 	return fb
 }
-
-// frame returns the encoded frame, without the reserved header bytes.
-func (fb *frameBuf) frame() []byte { return fb.buf[iscsi.FrameHeadroom:] }
 
 // release drops n references and returns the buffer to the pool when
 // none remain.
@@ -221,46 +182,6 @@ func (e *Engine) shipper(p *pipe) {
 	}
 }
 
-// batcher returns the batching client a pipe's drained backlog ships
-// through, or nil when this pipe must ship frame by frame: tagged
-// pipes need the stream-batch extension, untagged pipes the plain one,
-// and BatchFrames: 1 disables batching everywhere.
-func (e *Engine) batcher(p *pipe) bool {
-	if e.cfg.BatchFrames <= 1 {
-		return false
-	}
-	if e.tagged(p) {
-		return p.rs.sbatch != nil
-	}
-	return p.rs.batch != nil
-}
-
-// deliver routes one dequeued message: the batching path drains the
-// queue behind it into one wire PDU; clients without batching support
-// keep the original single-frame path.
-func (e *Engine) deliver(p *pipe, msg repMsg) {
-	if e.rsCodec != nil {
-		// GroupMode: everything queued is a stripe unit, and the stripe
-		// PDU is inherently batched (one entry is just a batch of one),
-		// so the backlog drains through the stripe path regardless of
-		// the batching knobs' mirror-mode meaning.
-		e.processStripe(p, e.drainBatch(p, msg))
-		return
-	}
-	if !e.batcher(p) {
-		e.process(p, msg)
-		return
-	}
-	e.processBatch(p, e.drainBatch(p, msg))
-}
-
-// process handles one queued frame for one replica: deliver (or drop
-// if degraded), account, then report — to the waiting writer in sync
-// mode, to the sticky per-replica error in async mode.
-func (e *Engine) process(p *pipe, msg repMsg) {
-	e.finish(p.rs, msg, e.shipTo(p, msg.seq, msg.lba, msg.hash, msg.frame))
-}
-
 // finish settles one queued message exactly once: report the delivery
 // result (to the waiting writer in sync mode, to the sticky
 // per-replica error in async mode), release its frame reference, and
@@ -275,6 +196,22 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 	rs.pending.Done()
 }
 
+// lostErr is how a message settles when its replica does not hold its
+// block after delivery — dropped (replica degraded) or refused as
+// diverged. The dirty maps and lag gauges carry that signal, so a
+// mirror write still succeeds: the block landed whole on every healthy
+// replica. A GroupMode stripe unit is the one difference: a lost unit
+// is redundancy the group lost, so a synchronous writer's quorum count
+// gets err. In async mode it settles nil like mirroring, so
+// AllowDegraded's contract (writes keep succeeding; heal via Drain →
+// repair → ClearDegraded) holds for groups too.
+func lostErr(m repMsg, err error) error {
+	if m.unit && m.ack != nil {
+		return err
+	}
+	return nil
+}
+
 // drainBatch opportunistically drains p's queue behind first, up to
 // the configured frame/byte caps, without ever blocking: batches form
 // only from backlog already sitting in the queue, so an idle pipeline
@@ -282,12 +219,12 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // amortizes its round trips over everything that queued up meanwhile.
 func (e *Engine) drainBatch(p *pipe, first repMsg) []repMsg {
 	msgs := []repMsg{first}
-	bytes := len(first.frame.frame())
+	bytes := len(first.frame.buf)
 	for len(msgs) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
 		select {
 		case msg := <-p.queue:
 			msgs = append(msgs, msg)
-			bytes += len(msg.frame.frame())
+			bytes += len(msg.frame.buf)
 		default:
 			return msgs
 		}
@@ -305,7 +242,7 @@ type batchGroup struct {
 
 func singleGroup(m repMsg) batchGroup {
 	return batchGroup{
-		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.frame()},
+		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.buf},
 		msgs:  []repMsg{m},
 	}
 }
@@ -318,27 +255,41 @@ func plainGroups(msgs []repMsg) []batchGroup {
 	return groups
 }
 
-// processBatch delivers one drained batch: coalesce same-LBA PRINS
-// parities, ship the entries in one round trip, then settle every
-// message from its own entry's status — one diverged block marks its
-// LBA dirty without failing its batch-mates. A batch of one takes the
-// plain single-frame path, which on the wire is the v3 OpReplicaWrite
-// PDU (or its stream-tagged v5 form), byte-identical to pre-batching
-// shipping for untagged pipes.
-func (e *Engine) processBatch(p *pipe, msgs []repMsg) {
-	rs := p.rs
-	e.traffic.ObserveBatch(len(msgs))
-	// With dedupe on, even a batch of one goes through the entry path:
-	// a consult hit turns the whole frame into a 28-byte reference,
-	// which dwarfs what the single-frame fast path saves.
-	if len(msgs) == 1 && rs.dedupe == nil {
-		e.process(p, msgs[0])
-		return
+// pushHeader names p's stream — this engine's volume and p's shard —
+// and, in GroupMode, the unit geometry of p's replica.
+func (e *Engine) pushHeader(p *pipe) iscsi.PushHeader {
+	hdr := iscsi.PushHeader{Mode: uint8(e.cfg.Mode), Shard: p.shard.id, Vol: e.cfg.Volume}
+	if e.rsCodec != nil {
+		hdr.Group = iscsi.StripeHeader{K: uint8(e.cfg.Group.K), N: uint8(e.cfg.Group.N), Idx: p.rs.unitIdx}
 	}
+	return hdr
+}
+
+// deliver ships one drained run of p's queue as one push and settles
+// every message in it:
+//
+//  1. coalesce same-LBA PRINS parities into one entry;
+//  2. consult the dedupe index — entries whose content the replica is
+//     believed to hold ship as frameless references;
+//  3. ship the push under the retry policy; the first reference the
+//     replica cannot resolve refuses the rest of the push with
+//     StatusRefMiss, and that suffix re-ships by value through the
+//     same ship (replica seq-dedupe makes the overlap safe, and the
+//     queued frames were retained for exactly this);
+//  4. account every counter, then settle the messages — so a Drain
+//     that returns sees the counters of everything it waited for.
+//
+// One diverged entry marks its own LBA dirty without failing its
+// push-mates. A degraded replica gets nothing: the run is dropped
+// into the dirty maps.
+func (e *Engine) deliver(p *pipe, first repMsg) {
+	rs := p.rs
+	msgs := e.drainBatch(p, first)
+	e.traffic.ObserveBatch(len(msgs))
 	if rs.degraded.Load() {
 		for _, m := range msgs {
 			e.dropFrame(p, m.lba)
-			e.finish(rs, m, nil)
+			e.finish(rs, m, lostErr(m, errUnitDropped))
 		}
 		return
 	}
@@ -352,430 +303,194 @@ func (e *Engine) processBatch(p *pipe, msgs []repMsg) {
 	for k, g := range groups {
 		entries[k] = g.entry
 	}
-
-	// Consult the dedupe index: entries whose content the replica is
-	// believed to already hold ship by reference (wire protocol v7).
-	if hits := e.byrefHits(rs, entries); len(hits) > 0 {
-		e.processByRef(p, groups, entries, hits)
-		return
+	byref := e.byrefHits(rs, entries)
+	wireEntries := entries
+	if byref != nil {
+		wireEntries = make([]iscsi.BatchEntry, len(entries))
+		copy(wireEntries, entries)
+		for k, ref := range byref {
+			if ref {
+				wireEntries[k].Frame = nil
+			}
+		}
 	}
 
-	statuses, err := e.shipBatch(p, entries)
+	hdr := e.pushHeader(p)
+	statuses, err := e.ship(p, hdr, wireEntries)
 	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, m := range msgs {
-				e.dropFrame(p, m.lba)
-				e.finish(rs, m, nil)
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate batch of %d: %w", len(entries), err)
-		for _, m := range msgs {
-			e.finish(rs, m, werr)
-		}
-		return
+		err = fmt.Errorf("core: replicate push of %d: %w", len(entries), err)
 	}
-
-	// The round trip succeeded; settle each entry on its own status.
-	// okMsgs counts settled source messages, not wire entries, so
-	// Replicated keeps the "logical pushes delivered" meaning the
-	// Replicated+Dropped accounting identity depends on.
-	var okMsgs int
-	var payload, unbatchedOK int64
-	for k, g := range groups {
-		switch statuses[k] {
-		case iscsi.StatusOK:
-			okMsgs += len(g.msgs)
-			payload += int64(len(g.entry.Frame))
-			if rs.dedupe != nil {
-				// The replica acknowledged holding this content at this
-				// LBA: future ships of the same content can go by-ref.
-				rs.dedupe.Put(g.entry.LBA, g.entry.Hash)
-			}
-			for _, m := range g.msgs {
-				// The per-frame wire size must be read before this message
-				// settles: finish releases the pooled frame, and a released
-				// frameBuf may be concurrently reused by a writer's
-				// getFrame. Only delivered messages count toward the
-				// savings baseline — a coalesced-then-refused entry saved
-				// nothing, since its frames were never shipped at all.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
-			}
-		case iscsi.StatusDiverged:
-			// Detected corruption at one block: dirty-map it for a ranged
-			// resync; the write stays successful (see shipTo).
-			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			for _, m := range g.msgs {
-				e.finish(rs, m, nil)
-			}
-		default:
-			p.markDirty(g.entry.LBA)
-			if e.cfg.AllowDegraded {
-				rs.degrade()
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
-				}
-				continue
-			}
-			werr := fmt.Errorf("core: replicate seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-	}
-
-	// Batch wire accounting covers every entry the replica processed
-	// (matching the single-frame convention of modelling the data
-	// segment, not the PDU header); saved is measured against shipping
-	// each DELIVERED original frame as its own PDU, coalescing elisions
-	// included. Refused entries' frames are excluded from the baseline:
-	// counting a coalesced-then-failed entry's frames as savings would
-	// credit wire bytes that were never going to be shipped.
-	wire := int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries)))
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-}
-
-// byrefHits returns the indices of batch entries whose content hash
-// the replica's dedupe index already names — the entries to ship as
-// 28-byte references instead of frames. nil when the fast path is off
-// for this replica. A zero hash (unverified push) never hits: there is
-// nothing the replica could address the content by.
-func (e *Engine) byrefHits(rs *replicaState, entries []iscsi.BatchEntry) []int {
-	if rs.dedupe == nil || rs.byref == nil {
-		return nil
-	}
-	var hits []int
-	for k := range entries {
-		if entries[k].Hash != 0 && rs.dedupe.Contains(entries[k].Hash) {
-			hits = append(hits, k)
-		}
-	}
-	return hits
-}
-
-// processByRef delivers one drained batch through the dedupe fast
-// path: the hit entries ship as references (wire protocol v7), mixed
-// in seq order with the by-value entries. Per the v7 protocol, the
-// first reference the replica cannot resolve refuses the entire
-// remaining suffix with StatusRefMiss — entries applied ahead of it
-// keep their own statuses — and the primary transparently re-ships the
-// refused suffix by value as one ordinary batch (replica seq-dedupe
-// makes the overlap safe, and the queued frames were retained exactly
-// for this). Settlement then mirrors processBatch entry by entry.
-//
-// Dedupe savings are accounted delivered-only: an entry must finally
-// land (StatusOK) before its elided frame counts as saved, and the
-// overhead of failed reference attempts is charged against the
-// saving, so a miss storm reads negative rather than flattering.
-func (e *Engine) processByRef(p *pipe, groups []batchGroup, entries []iscsi.BatchEntry, hits []int) {
-	rs := p.rs
-	byref := make([]bool, len(entries))
-	wireEntries := make([]iscsi.BatchEntry, len(entries))
-	copy(wireEntries, entries)
-	for _, k := range hits {
-		byref[k] = true
-		wireEntries[k].Frame = nil
-	}
-
-	statuses, err := e.shipByRef(p, wireEntries)
-	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, g := range groups {
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
-				}
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate by-ref batch of %d: %w", len(entries), err)
-		for _, g := range groups {
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-		return
-	}
-
-	// Find where the replica started refusing references; everything
-	// from there was refused unapplied and re-ships by value.
+	wire := int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(wireEntries)))
 	missAt := len(entries)
-	for k, st := range statuses {
-		if st == iscsi.StatusRefMiss {
-			missAt = k
-			break
+	var fallbackErr error
+	if err == nil {
+		for k, st := range statuses {
+			if st == iscsi.StatusRefMiss {
+				missAt = k
+				break
+			}
 		}
 	}
-	wire := int64(wan.WireBytesDiscrete(iscsi.ByRefWireLen(wireEntries)))
-	var fberr error
 	if missAt < len(entries) {
-		if byref[missAt] {
+		if byref != nil && byref[missAt] {
 			// Only the first refusal is a genuine miss verdict — the rest
 			// of the suffix is refused unexamined to keep the replica's
 			// seq cursor honest — so only its hash is provably stale.
 			rs.dedupe.ForgetHash(entries[missAt].Hash)
 		}
-		fstat, ferr := e.shipBatch(p, entries[missAt:])
+		fstat, ferr := e.ship(p, hdr, entries[missAt:])
 		if ferr != nil {
-			fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(entries)-missAt, ferr)
+			fallbackErr = fmt.Errorf("core: by-ref fallback push of %d: %w", len(entries)-missAt, ferr)
 		} else {
 			copy(statuses[missAt:], fstat)
 			wire += int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries[missAt:])))
 		}
 	}
 
+	// Account. Frame sizes are read here, before any message settles:
+	// finish releases the pooled frame, and a released frameBuf may be
+	// concurrently reused by a writer's getFrame.
+	type settlement struct {
+		m   repMsg
+		err error
+	}
+	settle := make([]settlement, 0, len(msgs))
 	var okMsgs int
 	var payload, unbatchedOK int64
 	var dHits, dMisses, dSaved int64
 	for k, g := range groups {
+		ref := byref != nil && byref[k]
+		failed := err
 		if k >= missAt {
-			if byref[k] {
+			if ref {
 				dMisses++
 			}
-			if fberr != nil {
-				// The fallback round trip itself failed: these entries
-				// were never delivered. Same handling as a failed batch.
-				p.markDirty(g.entry.LBA)
-				if e.cfg.AllowDegraded {
-					rs.degrade()
-					for _, m := range g.msgs {
-						e.dropFrame(p, m.lba)
-						e.finish(rs, m, nil)
-					}
-				} else {
-					for _, m := range g.msgs {
-						e.finish(rs, m, fberr)
-					}
-				}
-				continue
-			}
+			failed = fallbackErr
 		}
-		switch statuses[k] {
-		case iscsi.StatusOK:
+		st := iscsi.StatusError
+		if failed == nil {
+			st = statuses[k]
+		}
+		switch {
+		case failed == nil && st == iscsi.StatusOK:
 			okMsgs += len(g.msgs)
-			frameCost := int64(len(entries[k].Frame))
-			if byref[k] && k < missAt {
+			frameCost := int64(len(g.entry.Frame))
+			switch {
+			case ref && k < missAt:
 				// Delivered as a reference: the frame stayed home.
 				dHits++
 				dSaved += frameCost
-			} else {
+			case k >= missAt && ref:
+				// Fallback re-ship: the refused reference was overhead.
 				payload += frameCost
-				if k >= missAt {
-					// Fallback re-ship: the first attempt's bytes for this
-					// entry — the reference, or the whole frame for a
-					// by-value suffix entry — were pure overhead.
-					if byref[k] {
-						dSaved -= iscsi.BatchEntryOverhead
-					} else {
-						dSaved -= iscsi.BatchEntryOverhead + frameCost
-					}
-				}
+				dSaved -= iscsi.BatchEntryOverhead
+			case k >= missAt:
+				// A by-value entry dragged into the fallback suffix: its
+				// whole first attempt was overhead.
+				payload += frameCost
+				dSaved -= iscsi.BatchEntryOverhead + frameCost
+			default:
+				payload += frameCost
 			}
 			if rs.dedupe != nil {
-				rs.dedupe.Put(entries[k].LBA, entries[k].Hash)
+				// The replica acknowledged holding this content at this
+				// LBA: future ships of the same content can go by-ref.
+				rs.dedupe.Put(g.entry.LBA, g.entry.Hash)
 			}
 			for _, m := range g.msgs {
-				// Read before finish releases the pooled frame (see
-				// processBatch); delivered messages only.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
+				// Only delivered messages count toward the batching
+				// baseline — a coalesced-then-refused entry saved nothing,
+				// since its frames were never shipped at all.
+				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.buf)))
+				settle = append(settle, settlement{m, nil})
 			}
-		case iscsi.StatusDiverged:
+		case failed == nil && st == iscsi.StatusDiverged:
+			// Detected corruption at one block: dirty-map it for a ranged
+			// resync. Retrying the same frame cannot help, and degrading
+			// the whole replica would be overkill for one bad block.
 			p.markDirty(g.entry.LBA)
 			rs.m.AddDiverged()
 			e.traffic.AddDiverged()
 			for _, m := range g.msgs {
-				e.finish(rs, m, nil)
+				settle = append(settle, settlement{m, lostErr(m,
+					fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, iscsi.ErrDiverged))})
 			}
 		default:
+			// Undelivered: the block goes in the dirty map either way, so
+			// DirtyRanges always names exactly what recovery must re-ship.
 			p.markDirty(g.entry.LBA)
+			if failed == nil {
+				failed = fmt.Errorf("core: replicate seq %d lba %d: %w",
+					g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, st))
+			}
 			if e.cfg.AllowDegraded {
 				rs.degrade()
 				for _, m := range g.msgs {
 					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
+					settle = append(settle, settlement{m, lostErr(m, errUnitDropped)})
 				}
 				continue
 			}
-			werr := fmt.Errorf("core: replicate seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
 			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
+				settle = append(settle, settlement{m, failed})
 			}
 		}
 	}
 
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	rs.m.AddDedupe(dHits, dMisses, dSaved)
-	e.traffic.AddDedupe(dHits, dMisses, dSaved)
+	// Traffic counts what the replica acknowledged. A push that settles
+	// several queued messages is a batch, its saving measured against
+	// shipping each delivered frame alone; the wire covers every entry
+	// the replica processed (the data segment, not the PDU header).
+	if err == nil {
+		if len(msgs) > 1 {
+			rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
+			e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
+		} else if okMsgs == 1 {
+			rs.m.AddShipped(int(payload), int(wire))
+			e.traffic.AddReplicated(int(payload), int(wire))
+		}
+	}
+	if dHits != 0 || dMisses != 0 || dSaved != 0 {
+		rs.m.AddDedupe(dHits, dMisses, dSaved)
+		e.traffic.AddDedupe(dHits, dMisses, dSaved)
+	}
 	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
+	for _, st := range settle {
+		e.finish(rs, st.m, st.err)
+	}
 }
 
-// shipByRef performs the delivery attempts for one by-ref push under
-// the retry policy — the same transport-retry/status-vector split as
-// shipBatch. Redelivery is safe: entries the replica already applied
-// dedupe by seq on the pipe's (vol, shard) stream cursor.
-func (e *Engine) shipByRef(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+// byrefHits marks the entries whose content hash the replica's dedupe
+// index already names — the entries to ship as 28-byte references
+// instead of frames. nil when nothing hits. A zero hash (unverified
+// push) never hits: there is nothing the replica could address the
+// content by.
+func (e *Engine) byrefHits(rs *replicaState, entries []iscsi.BatchEntry) []bool {
+	if rs.dedupe == nil {
+		return nil
+	}
+	var hits []bool
+	for k := range entries {
+		if entries[k].Hash != 0 && rs.dedupe.Contains(entries[k].Hash) {
+			if hits == nil {
+				hits = make([]bool, len(entries))
+			}
+			hits[k] = true
+		}
+	}
+	return hits
+}
+
+// ship performs the delivery attempts for one push. Transport failures
+// retry the whole push under the retry policy — entries the replica
+// already applied dedupe by seq on the stream cursor and come back
+// StatusOK, so redelivery cannot double-XOR — while per-entry
+// refusals ride the returned status vector and are never retried here
+// (a diverged entry is deterministic corruption, not transient loss).
+func (e *Engine) ship(p *pipe, hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	rs := p.rs
 	for attempt := 1; ; attempt++ {
-		statuses, err := rs.byref.ReplicaWriteByRef(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, entries)
-		if err == nil || attempt >= e.retry.Attempts {
-			return statuses, err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
-}
-
-// finishUnit settles one stripe-unit message. In synchronous mode the
-// error reaches the writer's quorum count verbatim: a unit that was
-// dropped (degraded replica) or refused as diverged is redundancy the
-// group genuinely lost, so unlike a mirror-mode drop it must count
-// against the quorum, not masquerade as delivered. In async mode those
-// same outcomes settle nil exactly like mirroring — the dirty maps and
-// lag gauges carry the signal, and AllowDegraded's contract (writes
-// keep succeeding; heal via Drain → repair → ClearDegraded) holds for
-// groups too.
-func (e *Engine) finishUnit(rs *replicaState, m repMsg, err error) {
-	if m.ack == nil {
-		err = nil
-	}
-	e.finish(rs, m, err)
-}
-
-// processStripe delivers one drained run of stripe-unit messages as a
-// single OpReplicaWriteStripe round trip — the group geometry plus one
-// entry per write, each entry's frame being this replica's unit.
-// Same-LBA PRINS units coalesce exactly like whole-block parities: RS
-// is linear over XOR, so the XOR of two writes' delta units is the
-// delta unit of the combined delta. Settlement mirrors processBatch
-// except for the unit semantics (see finishUnit): one diverged or
-// failed entry feeds its own writes' quorum counts without failing its
-// batch-mates.
-func (e *Engine) processStripe(p *pipe, msgs []repMsg) {
-	rs := p.rs
-	e.traffic.ObserveBatch(len(msgs))
-	if rs.degraded.Load() {
-		for _, m := range msgs {
-			e.dropFrame(p, m.lba)
-			e.finishUnit(rs, m, errUnitDropped)
-		}
-		return
-	}
-
-	groups := e.coalesce(msgs)
-	if merged := int64(len(msgs) - len(groups)); merged > 0 {
-		rs.m.AddCoalesced(merged)
-		e.traffic.AddCoalesced(merged)
-	}
-	entries := make([]iscsi.BatchEntry, len(groups))
-	for k, g := range groups {
-		entries[k] = g.entry
-	}
-
-	statuses, err := e.shipStripe(p, entries)
-	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, m := range msgs {
-				e.dropFrame(p, m.lba)
-				e.finishUnit(rs, m, errUnitDropped)
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate stripe of %d: %w", len(entries), err)
-		for _, m := range msgs {
-			e.finish(rs, m, werr)
-		}
-		return
-	}
-
-	var okMsgs int
-	var payload, unbatchedOK int64
-	for k, g := range groups {
-		switch statuses[k] {
-		case iscsi.StatusOK:
-			okMsgs += len(g.msgs)
-			payload += int64(len(g.entry.Frame))
-			for _, m := range g.msgs {
-				// The per-frame wire size must be read before this message
-				// settles: finish releases the pooled frame, and a released
-				// frameBuf may be concurrently reused by a writer's
-				// getFrame.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
-			}
-		case iscsi.StatusDiverged:
-			// The replica's recovered unit failed its hash: that unit is
-			// not durable, so the writer's quorum must not count it.
-			// Recovery is the same as mirroring — the LBA is dirty-mapped
-			// and a ranged repair re-derives the unit.
-			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			for _, m := range g.msgs {
-				e.finishUnit(rs, m, fmt.Errorf("core: stripe unit %d seq %d lba %d: %w",
-					rs.unitIdx, m.seq, m.lba, iscsi.ErrDiverged))
-			}
-		default:
-			p.markDirty(g.entry.LBA)
-			if e.cfg.AllowDegraded {
-				rs.degrade()
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finishUnit(rs, m, errUnitDropped)
-				}
-				continue
-			}
-			werr := fmt.Errorf("core: replicate stripe seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-	}
-
-	wire := int64(wan.WireBytesDiscrete(iscsi.StripeWireLen(entries)))
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-}
-
-// shipStripe performs the delivery attempts for one stripe push under
-// the retry policy — the same transport-retry/status-vector split as
-// shipBatch, with the group geometry riding every attempt. Redelivery
-// is safe: entries the replica already applied dedupe by seq on the
-// pipe's (vol, shard) stream cursor.
-func (e *Engine) shipStripe(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	rs := p.rs
-	hdr := iscsi.StripeHeader{K: uint8(e.cfg.Group.K), N: uint8(e.cfg.Group.N), Idx: rs.unitIdx}
-	for attempt := 1; ; attempt++ {
-		statuses, err := rs.stripeC.ReplicaWriteStripe(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, hdr, entries)
+		statuses, err := rs.client.Push(hdr, entries)
 		if err == nil || attempt >= e.retry.Attempts {
 			return statuses, err
 		}
@@ -789,16 +504,17 @@ func (e *Engine) shipStripe(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status
 
 // coalesce folds a drained batch into wire entries. In ModePRINS,
 // same-LBA parities XOR-merge into one frame — P'1 xor P'2 is the
-// combined delta of back-to-back writes — and the merged entry keeps
-// the LAST message's seq and hash: the hash describes the block after
-// the newest write, and the newest seq keeps the replica's dedupe
-// monotonic. Entries are then sorted by seq, because a merged entry
-// carries a later seq than frames queued after its first appearance;
-// shipping in first-appearance order could put that higher seq ahead
-// of a lower one and trip the replica's dedupe into silently dropping
-// a batch-mate. Other modes ship one entry per message unmerged (a
-// whole-block frame already supersedes its predecessors, and dropping
-// one would skip its ack).
+// combined delta of back-to-back writes, and since RS is linear over
+// XOR the same holds for GroupMode delta units — and the merged entry
+// keeps the LAST message's seq and hash: the hash describes the block
+// after the newest write, and the newest seq keeps the replica's
+// dedupe monotonic. Entries are then sorted by seq, because a merged
+// entry carries a later seq than frames queued after its first
+// appearance; shipping in first-appearance order could put that higher
+// seq ahead of a lower one and trip the replica's dedupe into silently
+// dropping a batch-mate. Other modes ship one entry per message
+// unmerged (a whole-block frame already supersedes its predecessors,
+// and dropping one would skip its ack).
 func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
 	if e.cfg.Mode != ModePRINS {
 		return plainGroups(msgs)
@@ -826,7 +542,7 @@ func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
 			}
 			acc = dec
 		}
-		add, err := xcode.Decode(m.frame.frame())
+		add, err := xcode.Decode(m.frame.buf)
 		if err != nil || len(add) != len(acc) || parity.XORInPlace(acc, add) != nil {
 			idx[m.lba] = len(groups)
 			groups = append(groups, singleGroup(m))
@@ -848,124 +564,6 @@ func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].entry.Seq < groups[b].entry.Seq })
 	return groups
-}
-
-// shipBatch performs the delivery attempts for one batch. Transport
-// failures retry the whole batch under the retry policy — entries the
-// replica already applied dedupe by seq and come back StatusOK, so
-// redelivery cannot double-XOR — while per-entry refusals ride the
-// returned status vector and are never retried here (a diverged entry
-// is deterministic corruption, not transient loss). Tagged pipes ship
-// through the stream-batch client so the whole batch lands on this
-// pipe's (vol, shard) dedupe cursor.
-func (e *Engine) shipBatch(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	rs := p.rs
-	tagged := e.tagged(p)
-	for attempt := 1; ; attempt++ {
-		var statuses []iscsi.Status
-		var err error
-		if tagged {
-			statuses, err = rs.sbatch.ReplicaWriteBatchStream(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, entries)
-		} else {
-			statuses, err = rs.batch.ReplicaWriteBatch(uint8(e.cfg.Mode), entries)
-		}
-		if err == nil || attempt >= e.retry.Attempts {
-			return statuses, err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
-}
-
-// shipTo delivers one frame to one replica under the retry policy. A
-// delivery that fails past the retry budget either degrades the
-// replica (AllowDegraded: the frame counts as dropped and the write
-// stays successful) or is returned as the delivery error. A replica
-// that refuses the apply as diverged is handled separately: the write
-// stays successful, the LBA lands in the pipe's dirty map, and a
-// ranged resync repairs it — divergence is detected corruption, not a
-// transport failure, so retrying the same frame cannot help and
-// degrading the whole replica would be overkill for one bad block.
-// Every other failed or dropped frame also marks its LBA dirty, so
-// DirtyRanges always names exactly what recovery must re-ship.
-// Traffic is counted only on successful delivery, so
-// PayloadBytes/WireBytes measure what the replica actually
-// acknowledged.
-func (e *Engine) shipTo(p *pipe, seq, lba, hash uint64, fb *frameBuf) error {
-	rs := p.rs
-	if rs.degraded.Load() {
-		e.dropFrame(p, lba)
-		return nil
-	}
-	frame := fb.frame()
-	if err := e.shipOne(p, seq, lba, hash, fb); err != nil {
-		if errors.Is(err, iscsi.ErrDiverged) {
-			p.markDirty(lba)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			return nil
-		}
-		p.markDirty(lba)
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			e.dropFrame(p, lba)
-			return nil
-		}
-		return fmt.Errorf("core: replicate seq %d lba %d: %w", seq, lba, err)
-	}
-	if rs.dedupe != nil {
-		rs.dedupe.Put(lba, hash)
-	}
-	wire := wan.WireBytesDiscrete(len(frame))
-	rs.m.AddShipped(len(frame), wire)
-	e.traffic.AddReplicated(len(frame), wire)
-	e.shardM.AddShipped(int(p.shard.id), 1)
-	return nil
-}
-
-// shipOne performs the delivery attempts for one frame to one replica.
-// A diverged refusal short-circuits the retry loop: the replica
-// verified the frame against its own block and said no — redelivering
-// the identical frame is deterministic failure, not transient loss.
-// Tagged pipes ship through the stream client so the frame lands on
-// this pipe's (vol, shard) dedupe cursor.
-//
-// When the client supports framed sends and this pipeline holds the
-// pooled buffer exclusively (refs == 1: every other replica's shipper
-// already released its reference, and the pool cannot reuse the buffer
-// while we still hold ours), the pre-assembled PDU ships zero-copy —
-// the client stamps the header into the buffer's headroom and writes
-// it whole. The bytes on the wire are identical either way.
-func (e *Engine) shipOne(p *pipe, seq, lba, hash uint64, fb *frameBuf) error {
-	rs := p.rs
-	tagged := e.tagged(p)
-	var shardID uint8
-	var vol uint16
-	if tagged {
-		shardID, vol = p.shard.id, e.cfg.Volume
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		switch {
-		case rs.framed != nil && fb.refs.Load() == 1:
-			err = rs.framed.ReplicaWriteFramed(uint8(e.cfg.Mode), shardID, vol, seq, lba, hash, fb.buf)
-		case tagged:
-			err = rs.stream.ReplicaWriteStream(uint8(e.cfg.Mode), shardID, vol, seq, lba, hash, fb.frame())
-		default:
-			err = rs.client.ReplicaWrite(uint8(e.cfg.Mode), seq, lba, hash, fb.frame())
-		}
-		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
-			return err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
 }
 
 // dropFrame accounts one frame elided because the pipe's replica is

@@ -16,8 +16,7 @@ import (
 )
 
 // streamKey packs a (vol, shard) replication stream tag into one map
-// key. The zero key is the default stream untagged (v3/v4) pushes
-// apply against.
+// key.
 func streamKey(shard uint8, vol uint16) uint32 {
 	return uint32(vol)<<8 | uint32(shard)
 }
@@ -46,12 +45,11 @@ type replicaStream struct {
 // A sharded primary ships one seq stream per (vol, shard); the engine
 // keeps an independent dedupe cursor per stream (the merge layer), so
 // interleaved streams over one session never trip each other's
-// seq-dedupe. Untagged pushes apply against the zero stream, which is
-// exactly the pre-sharding behaviour.
+// seq-dedupe.
 //
-// It implements iscsi.Backend (and the stream/batch extensions) so a
-// replica node simply exports it through a target; it also applies
-// frames directly via Apply for in-process (loopback) replication.
+// It implements iscsi.Backend so a replica node simply exports it
+// through a target; it also applies pushes directly via ApplyPush for
+// in-process (loopback) replication.
 type ReplicaEngine struct {
 	store   block.Store
 	traffic *metrics.Traffic
@@ -82,19 +80,18 @@ type ReplicaEngine struct {
 	jrnl *journal.Journal
 	jmu  sync.Mutex
 	// replay is set when a Begin landed but the store write or Commit
-	// did not; the next Apply replays the journal before proceeding.
+	// did not; the next apply replays the journal before proceeding.
 	// Guarded by jmu.
 	replay bool
 
 	// Replica-group membership (SetGroupUnit): the k-of-n geometry and
-	// unit index stripe pushes must match to be applied. Set before the
-	// engine is shared; read-only afterwards.
-	gHdr    iscsi.StripeHeader
-	inGroup bool
+	// unit index every push must carry to be applied; zero for a mirror
+	// replica. Set before the engine is shared; read-only afterwards.
+	group iscsi.StripeHeader
 
 	// dedupe, when non-nil, is the content-addressed index over this
 	// replica's own store: every verified apply records (lba -> hash),
-	// so a by-ref push (proto v7) can be materialized by local copy.
+	// so a by-ref entry can be materialized by local copy.
 	// The index is advisory — a candidate block is re-hashed before it
 	// is copied, so a stale entry costs a StatusRefMiss, never a wrong
 	// block. Set before the engine is shared (SetDedupe); the Index has
@@ -103,11 +100,6 @@ type ReplicaEngine struct {
 }
 
 var _ iscsi.Backend = (*ReplicaEngine)(nil)
-var _ iscsi.BatchBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StreamBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StreamBatchBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StripeBackend = (*ReplicaEngine)(nil)
-var _ iscsi.ByRefBackend = (*ReplicaEngine)(nil)
 
 // NewReplicaEngine wraps the replica's local store with no journal;
 // applies are not crash-safe. Use NewReplicaEngineJournaled for the
@@ -270,182 +262,61 @@ func (r *ReplicaEngine) StreamLastSeq(shard uint8, vol uint16) uint64 {
 // Store returns the underlying replica store (read-only use expected).
 func (r *ReplicaEngine) Store() block.Store { return r.store }
 
-// Apply decodes one replication frame, verifies the recovered block
-// against the shipped content hash (when non-zero), and applies it to
-// the replica store against the default stream — through the
-// crash-safe journal when one is attached. See ApplyStream.
-func (r *ReplicaEngine) Apply(mode Mode, seq, lba, hash uint64, frame []byte) error {
-	return r.ApplyStream(mode, 0, 0, seq, lba, hash, frame)
-}
-
-// ApplyStream applies one replication frame against the (vol, shard)
-// stream's sequence space.
+// ApplyPush applies one push against the (vol, shard) stream named in
+// hdr and returns one status per entry, in the caller's order.
 //
 // Deliveries are deduplicated by sequence number per stream: the
-// primary ships each stream's frames in seq order, so a frame at or
+// primary ships each stream's entries in seq order, so an entry at or
 // below the stream's lastSeq is a retried delivery whose first copy
 // already landed (the ack was lost, not the push). It is acknowledged
 // without being re-applied — essential in ModePRINS, where XOR-ing the
-// same parity twice would corrupt the block rather than no-op.
+// same parity twice would corrupt the block rather than no-op. So when
+// a connection drops mid-push and the whole push is redelivered, the
+// already-applied prefix is acknowledged instead of double-XORed.
 //
-// A hash mismatch returns an error wrapping iscsi.ErrDiverged without
-// touching the store: in ModePRINS it means the replica's pre-image
-// already differs from what the primary XORed against, so writing the
-// recovered block would replace silent corruption with fresh silent
-// corruption. The primary marks the LBA dirty and repairs it with a
-// ranged resync instead.
-func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	if r.jrnl != nil {
-		// The single-slot journal serializes journaled applies; taking
-		// jmu before the stream lock also lets replay lock any stream.
-		r.jmu.Lock()
-		defer r.jmu.Unlock()
-		if r.replay {
-			if err := r.replayJournal(); err != nil {
-				return err
-			}
-		}
-	}
-
-	st := r.stream(shard, vol)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if seq != 0 && seq <= st.lastSeq {
-		r.traffic.AddDuplicate()
-		return nil
-	}
-
-	start := time.Now()
-	payload, err := xcode.Decode(frame)
-	if err != nil {
-		return fmt.Errorf("core: replica decode seq %d: %w: %w",
-			seq, iscsi.ErrReplicaDecode, err)
-	}
-	if len(payload) != r.store.BlockSize() {
-		return fmt.Errorf("%w: frame decodes to %d bytes, block size %d",
-			block.ErrBadBufSize, len(payload), r.store.BlockSize())
-	}
-
-	newBlock := payload
-	switch mode {
-	case ModeTraditional, ModeCompressed:
-	case ModePRINS:
-		if err := r.store.ReadBlock(lba, st.oldBuf); err != nil {
-			return fmt.Errorf("core: replica read old seq %d: %w", seq, err)
-		}
-		if err := parity.BackwardInto(st.newBuf, payload, st.oldBuf); err != nil {
-			return err
-		}
-		newBlock = st.newBuf
-	default:
-		return fmt.Errorf("core: replica: invalid mode %d", uint8(mode))
-	}
-
-	if hash != 0 {
-		if got := iscsi.HashBlock(newBlock); got != hash {
-			r.traffic.AddDiverged()
-			return fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
-				seq, lba, iscsi.ErrDiverged, got, hash)
-		}
-	}
-
-	if r.jrnl != nil {
-		if err := r.jrnl.BeginStream(shard, vol, seq, lba, hash, newBlock); err != nil {
-			return fmt.Errorf("core: replica seq %d: %w: %w", seq, iscsi.ErrReplicaStore, err)
-		}
-	}
-	if err := r.store.WriteBlock(lba, newBlock); err != nil {
-		if r.jrnl != nil {
-			// The intent stays journaled; the next apply (or restart)
-			// replays it before doing anything else.
-			r.replay = true
-		}
-		return fmt.Errorf("core: replica write seq %d: %w: %w",
-			seq, iscsi.ErrReplicaStore, err)
-	}
-	if r.jrnl != nil {
-		if err := r.jrnl.Commit(); err != nil {
-			r.replay = true
-			return fmt.Errorf("core: replica seq %d: %w: %w", seq, iscsi.ErrReplicaStore, err)
-		}
-	}
-
-	r.traffic.AddDecodeTime(time.Since(start))
-	r.traffic.AddReplicaWrite()
-	r.indexApply(lba, hash)
-	if seq > st.lastSeq {
-		st.lastSeq = seq
-	}
-	return nil
-}
-
-// ApplyBatch applies a batched push against the default stream. See
-// ApplyBatchStream.
-func (r *ReplicaEngine) ApplyBatch(mode Mode, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatchStream(mode, 0, 0, entries)
-}
-
-// ApplyBatchStream applies a batched push against the (vol, shard)
-// stream and returns one status per entry, in the caller's order.
-// Entries apply in ascending seq order (the primary ships batches
-// seq-sorted already, so the stable re-sort is normally a no-op) with
-// exactly the semantics of walking ApplyStream per entry: each entry
-// dedupes by seq like a retried single push — when a connection drops
-// mid-batch and the whole batch is redelivered, the already-applied
-// prefix is acknowledged instead of double-XORed — and one refused
-// entry (diverged, decode, store) reports its own status without
-// failing its batch-mates.
+// The push is staged in memory first, then made durable as one unit:
 //
-// A multi-entry batch applies as one group: the journal lock and the
-// stream lock are each taken once for the whole batch, and a journaled
-// engine persists one group intent record (single write + sync + CRC
-// pass) instead of a Begin/Commit pair per entry. See
-// applyBatchGrouped for the crash-safety contract.
-func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	if len(entries) > 1 {
-		return r.applyBatchGrouped(mode, shard, vol, entries)
-	}
-	statuses := make([]iscsi.Status, len(entries))
-	for k := range entries {
-		e := entries[k]
-		if err := r.ApplyStream(mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
-			statuses[k] = statusOf(err)
-		} else {
-			statuses[k] = iscsi.StatusOK
-		}
-	}
-	return statuses
-}
-
-// applyBatchGrouped is the group-commit apply path for a multi-entry
-// batch. It stages every entry in memory first, then makes the batch
-// durable as one unit:
-//
-//  1. In seq order: dedupe against the stream cursor, decode, recover
-//     the full new block (a staged same-LBA predecessor in the same
-//     batch serves as the PRINS pre-image, exactly as if it had
-//     already landed), and verify the content hash. Refused entries
-//     get their status here and drop out; nothing has touched the
-//     store or journal yet.
-//  2. One journal Begin covers every surviving entry — a single group
+//  1. In seq order: dedupe against the stream cursor, then recover the
+//     full new block — a by-ref entry by verified local copy through
+//     the content index, a by-value entry by decoding its frame (in
+//     ModePRINS XORed onto the pre-image, where a staged same-LBA
+//     predecessor in the same push serves as the pre-image exactly as
+//     if it had already landed) — and verify the content hash. A hash
+//     mismatch is StatusDiverged: the replica's pre-image already
+//     differs from what the primary XORed against, so writing would
+//     replace silent corruption with fresh silent corruption; the
+//     primary repairs the LBA with a ranged resync instead. Refused
+//     entries get their status here and drop out; nothing has touched
+//     the store or journal yet.
+//  2. The first by-ref entry the index cannot resolve is refused with
+//     StatusRefMiss, and so is every later entry of the push: the
+//     initiator re-ships that suffix by value with the SAME seqs, so
+//     the stream cursor must not advance past them, or seq-dedupe
+//     would silently drop the repair.
+//  3. One journal intent covers every surviving entry — a single group
 //     record with one CRC pass and one sync.
-//  3. In-place store writes in seq order.
-//  4. One journal Commit clears the group.
+//  4. In-place store writes in seq order.
+//  5. One journal Commit clears the group.
 //
-// Crash safety is all-commit-or-all-replay: after the group Begin, a
-// crash (or store failure) anywhere before Commit leaves the whole
-// group journaled, and the next apply — or restart — replays every
-// entry as an idempotent whole-block rewrite, so the store can never
-// be left holding a torn suffix of the batch.
-func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	statuses := make([]iscsi.Status, len(entries))
-	fail := func(s iscsi.Status) []iscsi.Status {
-		for i := range statuses {
-			statuses[i] = s
-		}
-		return statuses
+// Crash safety is all-commit-or-all-replay: after the Begin, a crash
+// (or store failure) anywhere before Commit leaves the whole group
+// journaled, and the next apply — or restart — replays every entry as
+// an idempotent whole-block rewrite, so the store can never be left
+// holding a torn suffix of the push.
+//
+// A push whose group geometry differs from the replica's (a mirror
+// push to a group member, a stripe push to a mirror replica or another
+// unit) is refused as a whole with StatusBadRequest: applying unit
+// bytes under the wrong code would silently corrupt the copy.
+func (r *ReplicaEngine) ApplyPush(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) []iscsi.Status {
+	mode := Mode(hdr.Mode)
+	if hdr.Group != r.group {
+		return iscsi.Refuse(len(entries), iscsi.StatusBadRequest)
 	}
+	if !mode.Valid() {
+		return iscsi.Refuse(len(entries), iscsi.StatusError)
+	}
+	statuses := make([]iscsi.Status, len(entries))
 
 	order := make([]int, len(entries))
 	for i := range order {
@@ -456,25 +327,27 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 	})
 
 	if r.jrnl != nil {
+		// The single-slot journal serializes journaled applies; taking
+		// jmu before the stream lock also lets replay lock any stream.
 		r.jmu.Lock()
 		defer r.jmu.Unlock()
 		if r.replay {
 			if err := r.replayJournal(); err != nil {
-				return fail(statusOf(err))
+				return iscsi.Refuse(len(entries), statusOf(err))
 			}
 		}
 	}
 
-	st := r.stream(shard, vol)
+	st := r.stream(hdr.Shard, hdr.Vol)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
 	start := time.Now()
 	bs := r.store.BlockSize()
 
-	// Phase 1: stage. cursor advances past staged seqs so an in-batch
-	// duplicate dedupes exactly as it would against an applied single
-	// push; st.lastSeq itself only moves once the batch is durable.
+	// Stage. cursor advances past staged seqs so an in-push duplicate
+	// dedupes exactly as it would against an applied push; st.lastSeq
+	// itself only moves once the push is durable.
 	type stagedEntry struct {
 		k     int // index into entries/statuses
 		seq   uint64
@@ -484,48 +357,57 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 	var pass []stagedEntry
 	pendingNew := make(map[uint64][]byte)
 	cursor := st.lastSeq
-	for _, k := range order {
+	for oi, k := range order {
 		e := entries[k]
 		if e.Seq != 0 && e.Seq <= cursor {
 			r.traffic.AddDuplicate()
 			statuses[k] = iscsi.StatusOK
 			continue
 		}
-		payload, err := xcode.Decode(e.Frame)
-		if err != nil {
-			statuses[k] = iscsi.StatusDecodeError
-			continue
-		}
-		if len(payload) != bs {
-			statuses[k] = iscsi.StatusBadRequest
-			continue
-		}
-		newBlock := payload
-		switch mode {
-		case ModeTraditional, ModeCompressed:
-		case ModePRINS:
-			pre := pendingNew[e.LBA]
-			if pre == nil {
-				if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
+		var newBlock []byte
+		if e.ByRef() {
+			newBlock = make([]byte, bs)
+			if !r.resolveRef(e.Hash, newBlock) {
+				r.traffic.AddDedupeMiss()
+				for _, rest := range order[oi:] {
+					statuses[rest] = iscsi.StatusRefMiss
+				}
+				break
+			}
+			r.traffic.AddDedupeHit()
+		} else {
+			payload, err := xcode.Decode(e.Frame)
+			if err != nil {
+				statuses[k] = iscsi.StatusDecodeError
+				continue
+			}
+			if len(payload) != bs {
+				statuses[k] = iscsi.StatusBadRequest
+				continue
+			}
+			newBlock = payload
+			if mode == ModePRINS {
+				pre := pendingNew[e.LBA]
+				if pre == nil {
+					if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
+						statuses[k] = statusOf(err)
+						continue
+					}
+					pre = st.oldBuf
+				}
+				// Decode never aliases its input, so the backward XOR can
+				// fold the pre-image into the decoded parity in place.
+				if err := parity.XORInPlace(newBlock, pre); err != nil {
 					statuses[k] = statusOf(err)
 					continue
 				}
-				pre = st.oldBuf
 			}
-			// Decode never aliases its input, so the backward XOR can
-			// fold the pre-image into the decoded parity in place.
-			if err := parity.XORInPlace(newBlock, pre); err != nil {
-				statuses[k] = statusOf(err)
-				continue
-			}
-		default:
-			return fail(iscsi.StatusError)
-		}
-		if e.Hash != 0 {
-			if got := iscsi.HashBlock(newBlock); got != e.Hash {
-				r.traffic.AddDiverged()
-				statuses[k] = iscsi.StatusDiverged
-				continue
+			if e.Hash != 0 {
+				if got := iscsi.HashBlock(newBlock); got != e.Hash {
+					r.traffic.AddDiverged()
+					statuses[k] = iscsi.StatusDiverged
+					continue
+				}
 			}
 		}
 		if e.Seq > cursor {
@@ -539,16 +421,16 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 		return statuses
 	}
 
-	// Phase 2: one group intent for the whole batch.
+	// One group intent for the whole push.
 	if r.jrnl != nil {
 		jes := make([]journal.Entry, len(pass))
 		for i, p := range pass {
 			jes[i] = journal.Entry{
 				Seq: p.seq, LBA: p.lba, Hash: entries[p.k].Hash,
-				Shard: shard, Vol: vol, Block: p.block,
+				Shard: hdr.Shard, Vol: hdr.Vol, Block: p.block,
 			}
 		}
-		if err := r.jrnl.BeginGroupStream(shard, vol, jes); err != nil {
+		if err := r.jrnl.BeginGroupStream(hdr.Shard, hdr.Vol, jes); err != nil {
 			// The intent never landed (a torn Begin is discarded by
 			// replay), so nothing was written: fail the survivors with no
 			// replay owed.
@@ -560,7 +442,7 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 		}
 	}
 
-	// Phase 3: in-place writes, seq order.
+	// In-place writes, seq order.
 	var maxApplied uint64
 	journalTorn := false
 	for i, p := range pass {
@@ -578,7 +460,7 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 				break
 			}
 			// Unjournaled applies keep per-entry independence: each
-			// staged block is a full rewrite, so a failed batch-mate
+			// staged block is a full rewrite, so a failed push-mate
 			// cannot corrupt a later one.
 			statuses[p.k] = statusOf(werr)
 			continue
@@ -597,7 +479,7 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 		return statuses
 	}
 
-	// Phase 4: one Commit clears the group.
+	// One Commit clears the group.
 	if r.jrnl != nil {
 		if err := r.jrnl.Commit(); err != nil {
 			// The intent stays; replay rewrites the group and advances the
@@ -626,58 +508,21 @@ func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, en
 
 // SetGroupUnit declares this replica a member of a k-of-n replica
 // group storing unit idx. Its store must be unit-sized (the primary's
-// Engine.GroupUnitSize), and a stripe push whose geometry does not
-// match is refused wholesale — applying unit bytes under the wrong
-// code would silently corrupt the copy. Call before the engine is
-// shared; a replica that never calls it refuses every stripe push.
+// Engine.GroupUnitSize), and a push whose geometry does not match is
+// refused wholesale (see ApplyPush). Call before the engine is shared;
+// a replica that never calls it accepts mirror pushes only.
 func (r *ReplicaEngine) SetGroupUnit(k, n, idx int) error {
 	if k < 1 || k > n || n > parity.MaxGroupUnits || idx < 0 || idx >= n {
 		return fmt.Errorf("core: invalid group unit k=%d n=%d idx=%d", k, n, idx)
 	}
-	r.gHdr = iscsi.StripeHeader{K: uint8(k), N: uint8(n), Idx: uint8(idx)}
-	r.inGroup = true
+	r.group = iscsi.StripeHeader{K: uint8(k), N: uint8(n), Idx: uint8(idx)}
 	return nil
 }
 
 // GroupUnit returns the replica's group geometry and whether it is a
 // group member.
 func (r *ReplicaEngine) GroupUnit() (iscsi.StripeHeader, bool) {
-	return r.gHdr, r.inGroup
-}
-
-// HandleReplicaStripe implements iscsi.StripeBackend: the wire entry
-// point for k-of-n stripe pushes. After the geometry gate, a stripe
-// push is exactly a batched push of unit-sized frames — same per-
-// stream seq-dedupe, same group journaling, same per-entry statuses —
-// so it delegates to ApplyBatchStream and inherits its crash-safety
-// contract (the intent journal guards each unit apply).
-func (r *ReplicaEngine) HandleReplicaStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) []iscsi.Status {
-	if !r.inGroup || hdr != r.gHdr {
-		statuses := make([]iscsi.Status, len(entries))
-		for i := range statuses {
-			statuses[i] = iscsi.StatusBadRequest
-		}
-		return statuses
-	}
-	return r.ApplyBatchStream(Mode(mode), shard, vol, entries)
-}
-
-// HandleReplicaBatch implements iscsi.BatchBackend: the wire entry
-// point for untagged batched pushes from the primary's engine.
-func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatch(Mode(mode), entries)
-}
-
-// HandleReplicaBatchStream implements iscsi.StreamBatchBackend: the
-// wire entry point for stream-tagged batched pushes.
-func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatchStream(Mode(mode), shard, vol, entries)
-}
-
-// HandleReplicaByRef implements iscsi.ByRefBackend: the wire entry
-// point for content-addressed (proto v7) pushes.
-func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyByRefStream(Mode(mode), shard, vol, entries)
+	return r.group, r.group != iscsi.StripeHeader{}
 }
 
 // resolveRef materializes the block whose content hash is hash into
@@ -709,203 +554,6 @@ func (r *ReplicaEngine) resolveRef(hash uint64, dst []byte) bool {
 		return true
 	}
 	return false
-}
-
-// ApplyByRefStream applies a mixed by-ref/by-value push (proto v7)
-// against the (vol, shard) stream and returns one status per entry,
-// in the caller's order. A by-ref entry (nil frame) is materialized by
-// verified local copy via the content index; a by-value entry applies
-// exactly like its batch counterpart, including same-LBA pre-image
-// chaining against blocks staged earlier in the push.
-//
-// The whole push is journaled and committed as one group, like
-// applyBatchGrouped. The extra rule is ref-miss poisoning: the first
-// entry whose hash the index cannot verifiably resolve is refused with
-// StatusRefMiss — and so is every later entry of the push, applied or
-// not, because the initiator re-ships the refused suffix with the SAME
-// sequence numbers and the stream cursor must not have advanced past
-// them, or seq-dedupe would silently drop the repair.
-func (r *ReplicaEngine) ApplyByRefStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	statuses := make([]iscsi.Status, len(entries))
-	fail := func(s iscsi.Status) []iscsi.Status {
-		for i := range statuses {
-			statuses[i] = s
-		}
-		return statuses
-	}
-	switch mode {
-	case ModeTraditional, ModeCompressed, ModePRINS:
-	default:
-		return fail(iscsi.StatusError)
-	}
-
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return entries[order[a]].Seq < entries[order[b]].Seq
-	})
-
-	if r.jrnl != nil {
-		r.jmu.Lock()
-		defer r.jmu.Unlock()
-		if r.replay {
-			if err := r.replayJournal(); err != nil {
-				return fail(statusOf(err))
-			}
-		}
-	}
-
-	st := r.stream(shard, vol)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	start := time.Now()
-	bs := r.store.BlockSize()
-
-	type stagedEntry struct {
-		k     int
-		seq   uint64
-		lba   uint64
-		block []byte
-	}
-	var pass []stagedEntry
-	pendingNew := make(map[uint64][]byte)
-	cursor := st.lastSeq
-	for oi, k := range order {
-		e := entries[k]
-		if e.Seq != 0 && e.Seq <= cursor {
-			r.traffic.AddDuplicate()
-			statuses[k] = iscsi.StatusOK
-			continue
-		}
-		var newBlock []byte
-		if e.ByRef() {
-			newBlock = make([]byte, bs)
-			if !r.resolveRef(e.Hash, newBlock) {
-				// Poison the suffix: refuse this entry and every later one
-				// so the stream cursor stays behind their seqs and the
-				// initiator's by-value re-ship is not deduped away.
-				r.traffic.AddDedupeMiss()
-				for _, rest := range order[oi:] {
-					statuses[rest] = iscsi.StatusRefMiss
-				}
-				break
-			}
-			r.traffic.AddDedupeHit()
-		} else {
-			payload, err := xcode.Decode(e.Frame)
-			if err != nil {
-				statuses[k] = iscsi.StatusDecodeError
-				continue
-			}
-			if len(payload) != bs {
-				statuses[k] = iscsi.StatusBadRequest
-				continue
-			}
-			newBlock = payload
-			if mode == ModePRINS {
-				pre := pendingNew[e.LBA]
-				if pre == nil {
-					if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
-						statuses[k] = statusOf(err)
-						continue
-					}
-					pre = st.oldBuf
-				}
-				if err := parity.XORInPlace(newBlock, pre); err != nil {
-					statuses[k] = statusOf(err)
-					continue
-				}
-			}
-			if e.Hash != 0 {
-				if got := iscsi.HashBlock(newBlock); got != e.Hash {
-					r.traffic.AddDiverged()
-					statuses[k] = iscsi.StatusDiverged
-					continue
-				}
-			}
-		}
-		if e.Seq > cursor {
-			cursor = e.Seq
-		}
-		pendingNew[e.LBA] = newBlock
-		pass = append(pass, stagedEntry{k: k, seq: e.Seq, lba: e.LBA, block: newBlock})
-	}
-	if len(pass) == 0 {
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
-	}
-
-	// One group intent covers the whole push — a by-ref apply is exactly
-	// as torn-write-safe as a batched frame apply.
-	if r.jrnl != nil {
-		jes := make([]journal.Entry, len(pass))
-		for i, p := range pass {
-			jes[i] = journal.Entry{
-				Seq: p.seq, LBA: p.lba, Hash: entries[p.k].Hash,
-				Shard: shard, Vol: vol, Block: p.block,
-			}
-		}
-		if err := r.jrnl.BeginGroupStream(shard, vol, jes); err != nil {
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
-		}
-	}
-
-	var maxApplied uint64
-	journalTorn := false
-	for i, p := range pass {
-		if err := r.store.WriteBlock(p.lba, p.block); err != nil {
-			werr := fmt.Errorf("%w: %w", iscsi.ErrReplicaStore, err)
-			if r.jrnl != nil {
-				r.replay = true
-				journalTorn = true
-				for _, q := range pass[i:] {
-					statuses[q.k] = statusOf(werr)
-				}
-				break
-			}
-			statuses[p.k] = statusOf(werr)
-			continue
-		}
-		statuses[p.k] = iscsi.StatusOK
-		if p.seq > maxApplied {
-			maxApplied = p.seq
-		}
-	}
-
-	if journalTorn {
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
-	}
-
-	if r.jrnl != nil {
-		if err := r.jrnl.Commit(); err != nil {
-			r.replay = true
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
-		}
-	}
-
-	for _, p := range pass {
-		if statuses[p.k] == iscsi.StatusOK {
-			r.traffic.AddReplicaWrite()
-			r.indexApply(p.lba, entries[p.k].Hash)
-		}
-	}
-	if maxApplied > st.lastSeq {
-		st.lastSeq = maxApplied
-	}
-	r.traffic.AddDecodeTime(time.Since(start))
-	return statuses
 }
 
 // Geometry implements iscsi.Backend.
@@ -947,22 +595,10 @@ func (r *ReplicaEngine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return iscsi.StatusOK
 }
 
-// HandleReplica implements iscsi.Backend: the wire entry point for
-// untagged pushes from the primary's engine.
-func (r *ReplicaEngine) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	if err := r.Apply(Mode(mode), seq, lba, hash, frame); err != nil {
-		return statusOf(err)
-	}
-	return iscsi.StatusOK
-}
-
-// HandleReplicaStream implements iscsi.StreamBackend: the wire entry
-// point for stream-tagged pushes.
-func (r *ReplicaEngine) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	if err := r.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame); err != nil {
-		return statusOf(err)
-	}
-	return iscsi.StatusOK
+// HandlePush implements iscsi.Backend: the wire entry point for pushes
+// from the primary's engine.
+func (r *ReplicaEngine) HandlePush(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) []iscsi.Status {
+	return r.ApplyPush(hdr, entries)
 }
 
 // Loopback adapts a ReplicaEngine into a ReplicaClient, replicating
@@ -973,38 +609,8 @@ type Loopback struct {
 }
 
 var _ ReplicaClient = (*Loopback)(nil)
-var _ BatchReplicaClient = (*Loopback)(nil)
-var _ StreamReplicaClient = (*Loopback)(nil)
-var _ StreamBatchReplicaClient = (*Loopback)(nil)
-var _ StripeReplicaClient = (*Loopback)(nil)
-var _ ByRefReplicaClient = (*Loopback)(nil)
 
-// ReplicaWrite implements ReplicaClient.
-func (l *Loopback) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return l.Replica.Apply(Mode(mode), seq, lba, hash, frame)
-}
-
-// ReplicaWriteBatch implements BatchReplicaClient.
-func (l *Loopback) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyBatch(Mode(mode), entries), nil
-}
-
-// ReplicaWriteStream implements StreamReplicaClient.
-func (l *Loopback) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	return l.Replica.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame)
-}
-
-// ReplicaWriteBatchStream implements StreamReplicaClient.
-func (l *Loopback) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyBatchStream(Mode(mode), shard, vol, entries), nil
-}
-
-// ReplicaWriteStripe implements StripeReplicaClient.
-func (l *Loopback) ReplicaWriteStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.HandleReplicaStripe(mode, shard, vol, hdr, entries), nil
-}
-
-// ReplicaWriteByRef implements ByRefReplicaClient.
-func (l *Loopback) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyByRefStream(Mode(mode), shard, vol, entries), nil
+// Push implements ReplicaClient.
+func (l *Loopback) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	return l.Replica.ApplyPush(hdr, entries), nil
 }

@@ -15,10 +15,10 @@ import (
 // storage serves many logical volumes to many clients over shared WAN
 // sessions. VolumeManager is the primary-side multiplexer — one Engine
 // per logical volume, every engine tagged with its volume id, all of
-// them shipping through the same shared StreamReplicaClients (and,
+// them shipping through the same shared ReplicaClients (and,
 // implicitly, the same process-wide frame pool). ReplicaSet is the
-// replica-side counterpart: it fans stream-tagged pushes out to the
-// right per-volume ReplicaEngine by the vol field of the wire tag.
+// replica-side counterpart: it fans pushes out to the right per-volume
+// ReplicaEngine by the vol field of the push header.
 //
 // Isolation property: volumes share sessions, not fate. Each volume's
 // engine keeps its own replicaState per attached client, so a volume
@@ -33,7 +33,7 @@ type VolumeManager struct {
 	mu      sync.Mutex
 	base    Config
 	vols    map[uint16]*Engine
-	clients []StreamReplicaClient
+	clients []ReplicaClient
 }
 
 // NewVolumeManager validates the per-volume config template. The
@@ -91,11 +91,10 @@ func (vm *VolumeManager) addVolumeLocked(id uint16, store block.Store) (*Engine,
 	return eng, nil
 }
 
-// AttachReplica shares one stream-capable replica client with every
-// volume, present and future. All volumes' pipelines push through it
-// concurrently; the replica side demultiplexes by the (vol, shard)
-// stream tag.
-func (vm *VolumeManager) AttachReplica(rc StreamReplicaClient) error {
+// AttachReplica shares one replica client with every volume, present
+// and future. All volumes' pipelines push through it concurrently; the
+// replica side demultiplexes by the (vol, shard) stream tag.
+func (vm *VolumeManager) AttachReplica(rc ReplicaClient) error {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	for _, id := range vm.idsLocked() {
@@ -185,12 +184,11 @@ func (vm *VolumeManager) Close() error {
 
 // ReplicaSet is the replica-side volume demultiplexer: one
 // ReplicaEngine per volume id, exported through a single target
-// backend. Stream-tagged pushes route to their volume's engine by the
-// wire tag; untagged operations (plain pushes, and the READ/WRITE
-// control path an initial sync or resync drives) route to volume 0, so
-// register a volume 0 engine — or, for multi-volume nodes, export each
-// volume's engine separately for control-path access (prinsd uses
-// "<export>.<id>").
+// backend. Pushes route to their volume's engine by the vol field of
+// the push header; the READ/WRITE control path an initial sync or
+// resync drives routes to volume 0, so register a volume 0 engine — or,
+// for multi-volume nodes, export each volume's engine separately for
+// control-path access (prinsd uses "<export>.<id>").
 //
 // All volumes must share one geometry, because the set answers a
 // single target login's Geometry.
@@ -202,9 +200,6 @@ type ReplicaSet struct {
 }
 
 var _ iscsi.Backend = (*ReplicaSet)(nil)
-var _ iscsi.BatchBackend = (*ReplicaSet)(nil)
-var _ iscsi.StreamBackend = (*ReplicaSet)(nil)
-var _ iscsi.StreamBatchBackend = (*ReplicaSet)(nil)
 
 // NewReplicaSet returns an empty set; add volumes before serving.
 func NewReplicaSet() *ReplicaSet {
@@ -285,39 +280,13 @@ func (s *ReplicaSet) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return re.HandleWrite(lba, data)
 }
 
-// HandleReplica implements iscsi.Backend: an untagged push is the
-// (0, 0) stream of volume 0.
-func (s *ReplicaSet) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	return s.HandleReplicaStream(mode, 0, 0, seq, lba, hash, frame)
-}
-
-// HandleReplicaStream implements iscsi.StreamBackend, routing by the
-// wire tag's volume id. A push for an unregistered volume is refused
-// (not silently applied elsewhere).
-func (s *ReplicaSet) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	re := s.Volume(vol)
+// HandlePush implements iscsi.Backend, routing by the push header's
+// volume id. A push for an unregistered volume is refused (not
+// silently applied elsewhere).
+func (s *ReplicaSet) HandlePush(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) []iscsi.Status {
+	re := s.Volume(hdr.Vol)
 	if re == nil {
-		return iscsi.StatusBadRequest
+		return iscsi.Refuse(len(entries), iscsi.StatusBadRequest)
 	}
-	return re.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame)
-}
-
-// HandleReplicaBatch implements iscsi.BatchBackend against volume 0's
-// default stream.
-func (s *ReplicaSet) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return s.HandleReplicaBatchStream(mode, 0, 0, entries)
-}
-
-// HandleReplicaBatchStream implements iscsi.StreamBatchBackend,
-// routing by the wire tag's volume id.
-func (s *ReplicaSet) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	re := s.Volume(vol)
-	if re == nil {
-		statuses := make([]iscsi.Status, len(entries))
-		for i := range statuses {
-			statuses[i] = iscsi.StatusBadRequest
-		}
-		return statuses
-	}
-	return re.HandleReplicaBatchStream(mode, shard, vol, entries)
+	return re.ApplyPush(hdr, entries)
 }

@@ -12,30 +12,15 @@ import (
 	"prins/internal/iscsi"
 )
 
-// setClient adapts a ReplicaSet into a shared StreamReplicaClient, the
+// setClient adapts a ReplicaSet into a shared ReplicaClient, the
 // in-process equivalent of one TCP session carrying several volumes'
 // push streams to one replica node.
 type setClient struct {
 	set *ReplicaSet
 }
 
-func setStatusErr(st iscsi.Status, lba uint64) error {
-	if st == iscsi.StatusOK {
-		return nil
-	}
-	return iscsi.ReplicaStatusErr(lba, st)
-}
-
-func (c *setClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return setStatusErr(c.set.HandleReplica(mode, seq, lba, hash, frame), lba)
-}
-
-func (c *setClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	return setStatusErr(c.set.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame), lba)
-}
-
-func (c *setClient) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return c.set.HandleReplicaBatchStream(mode, shard, vol, entries), nil
+func (c *setClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	return c.set.HandlePush(hdr, entries), nil
 }
 
 // TestVolumeManagerLifecycle: create volumes, attach a shared replica
@@ -149,22 +134,18 @@ func TestVolumeManagerLifecycle(t *testing.T) {
 // exactly one volume — the in-process model of a replica node that
 // lost one volume's disk while the session stays up.
 type volFaultClient struct {
-	inner   StreamReplicaClient
+	inner   ReplicaClient
 	failVol uint16
 	failing atomic.Bool
 }
 
 var errVolFault = errors.New("injected volume fault")
 
-func (c *volFaultClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
-}
-
-func (c *volFaultClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	if c.failing.Load() && vol == c.failVol {
-		return errVolFault
+func (c *volFaultClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	if c.failing.Load() && hdr.Vol == c.failVol {
+		return nil, errVolFault
 	}
-	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
+	return c.inner.Push(hdr, entries)
 }
 
 // TestVolumeDegradedIsolation is the regression test for shared-session
@@ -304,10 +285,14 @@ func TestReplicaSetRouting(t *testing.T) {
 	}
 
 	frame := encodeTestFrame(t, blockOf(0x11, 512))
-	if st := set.HandleReplicaStream(uint8(ModeTraditional), 0, 1, 1, 5, 0, frame); st != iscsi.StatusOK {
+	push := func(vol uint16) iscsi.Status {
+		return set.HandlePush(iscsi.PushHeader{Mode: uint8(ModeTraditional), Vol: vol},
+			[]iscsi.BatchEntry{{Seq: 1, LBA: 5, Frame: frame}})[0]
+	}
+	if st := push(1); st != iscsi.StatusOK {
 		t.Fatalf("push to volume 1: %v", st)
 	}
-	if st := set.HandleReplicaStream(uint8(ModeTraditional), 0, 9, 1, 5, 0, frame); st == iscsi.StatusOK {
+	if st := push(9); st == iscsi.StatusOK {
 		t.Fatal("push to unknown volume accepted")
 	}
 	// The push landed on volume 1 only.

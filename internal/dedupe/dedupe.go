@@ -1,6 +1,6 @@
 // Package dedupe provides the content-addressed block index behind
-// PRINS's ship-by-reference fast path (wire protocol v7). Both ends of
-// the replication path run one:
+// PRINS's ship-by-reference fast path (frameless push entries). Both
+// ends of the replication path run one:
 //
 //   - The primary keeps an Index per attached replica recording which
 //     (lba -> content hash) pairs it believes the replica holds — fed

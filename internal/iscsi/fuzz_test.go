@@ -25,107 +25,113 @@ func FuzzReadPDU(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatch feeds arbitrary byte streams to the batch-segment
-// decoder: it must never panic or over-allocate, failures must be the
-// two documented sentinels, and anything accepted must be internally
-// consistent (bounded entry count, frames aliasing the input).
-func FuzzDecodeBatch(f *testing.F) {
-	seed, err := EncodeBatch([]BatchEntry{
-		{Seq: 1, LBA: 2, Hash: 3, Frame: []byte("frame one")},
-		{Seq: 2, LBA: 9, Hash: 0, Frame: nil},
-	})
+// checkPush decodes p and holds the push decoder to its contract: it
+// must never panic or over-allocate, failures must be the two
+// documented sentinels, and anything accepted must be internally
+// consistent and re-encode through the vectored writer to the identical
+// header bytes and segment (decode is strict, so the mapping is
+// bijective).
+func checkPush(t *testing.T, p *PDU) {
+	t.Helper()
+	hdr, entries, err := DecodePush(p)
 	if err != nil {
-		f.Fatal(err)
+		if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
+			t.Fatalf("unexpected error class: %v", err)
+		}
+		return
 	}
+	if hdr.Group != (StripeHeader{}) && !hdr.Group.valid() {
+		t.Fatalf("accepted invalid group %+v", hdr.Group)
+	}
+	if len(entries) == 0 || len(entries) > MaxBatchFrames {
+		t.Fatalf("accepted %d entries", len(entries))
+	}
+	total := 0
+	for _, e := range entries {
+		if e.ByRef() && e.Hash == 0 {
+			t.Fatal("accepted a by-ref entry without a content hash")
+		}
+		total += len(e.Frame)
+	}
+	if total > len(p.Data) {
+		t.Fatalf("frames total %d bytes from a %d-byte segment", total, len(p.Data))
+	}
+	var buf bytes.Buffer
+	if _, err := WritePush(&buf, 0, hdr, entries); err != nil {
+		t.Fatalf("re-encode of accepted push: %v", err)
+	}
+	again, err := ReadPDU(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded push unreadable: %v", err)
+	}
+	if again.Ext != p.Ext || !bytes.Equal(again.Data, p.Data) {
+		t.Fatal("decode/encode round trip changed the push")
+	}
+}
+
+// FuzzDecodeBatch feeds arbitrary data segments of a mirror push whose
+// entries all carry their frames by value.
+func FuzzDecodeBatch(f *testing.F) {
+	seed := pushSegment([]BatchEntry{
+		{Seq: 1, LBA: 2, Hash: 3, Frame: []byte("frame one")},
+		{Seq: 2, LBA: 9, Hash: 4, Frame: []byte("frame two")},
+	})
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])               // truncated frame
-	f.Add(append([]byte(nil), seed[:7]...)) // truncated entry header
-	f.Add([]byte{})                         // no count
-	f.Add([]byte{0, 0, 0, 0})               // zero count
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})   // absurd count, tiny buffer
-	f.Add(append(seed, 0xAB))               // trailing byte
+	f.Add(seed[:len(seed)-3])                         // truncated frame
+	f.Add(append([]byte(nil), seed[:7]...))           // truncated entry header
+	f.Add([]byte{})                                   // no count
+	f.Add(countOf(0))                                 // zero count
+	f.Add(countOf(0xFFFFFFFF))                        // absurd count, tiny buffer
+	f.Add(append(append([]byte(nil), seed...), 0xAB)) // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeBatch(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			return
-		}
-		if len(entries) == 0 || len(entries) > MaxBatchFrames {
-			t.Fatalf("accepted %d entries", len(entries))
-		}
-		total := 0
-		for _, e := range entries {
-			total += len(e.Frame)
-		}
-		if total > len(data) {
-			t.Fatalf("frames total %d bytes from a %d-byte segment", total, len(data))
-		}
-		// Accepted input must re-encode to the identical segment
-		// (decode is strict, so the mapping is bijective).
-		again, err := EncodeBatch(entries)
-		if err != nil {
-			t.Fatalf("re-encode of accepted batch: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("decode/encode round trip changed the segment")
-		}
+		checkPush(t, &PDU{Op: OpReplicaPush, Data: data})
 	})
 }
 
-// FuzzDecodeStripe feeds arbitrary byte streams to the stripe-segment
-// decoder: it must never panic or over-allocate, failures must be the
-// two documented sentinels, and anything accepted must be internally
-// consistent (valid group geometry, bounded entries, strict round
-// trip).
-func FuzzDecodeStripe(f *testing.F) {
-	seed, err := EncodeStripe(StripeHeader{K: 2, N: 4, Idx: 3}, []BatchEntry{
-		{Seq: 1, LBA: 2, Hash: 3, Frame: []byte("unit one")},
-		{Seq: 2, LBA: 9, Hash: 0, Frame: nil},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
+// FuzzDecodeByRef feeds arbitrary data segments of a mirror push that
+// mixes by-value frames with by-ref entries (frameLen 0, content hash
+// only).
+func FuzzDecodeByRef(f *testing.F) {
+	seed := pushSegment(mixedEntries())
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])                 // truncated frame
-	f.Add(append([]byte(nil), seed[:5]...))   // truncated count
-	f.Add([]byte{})                           // no prefix
-	f.Add([]byte{2, 4, 3, 1, 0, 0, 0, 1})     // nonzero reserved byte
-	f.Add([]byte{0, 4, 1, 0, 0, 0, 0, 1})     // k=0
-	f.Add([]byte{5, 4, 1, 0, 0, 0, 0, 1})     // k>n
-	f.Add([]byte{2, 4, 4, 0, 0, 0, 0, 1})     // idx>=n
-	f.Add([]byte{2, 4, 0, 0, 0, 0, 0, 0})     // zero entry count
-	f.Add(append(seed, 0xAB))                 // trailing byte
-	f.Add([]byte{2, 4, 1, 0, 255, 255, 255, 255}) // absurd count, tiny buffer
+	f.Add(seed[:len(seed)-3])                                      // truncated frame
+	f.Add(append([]byte(nil), seed[:7]...))                        // truncated entry header
+	f.Add([]byte{})                                                // no count
+	f.Add(countOf(0))                                              // zero count
+	f.Add(countOf(0xFFFFFFFF))                                     // absurd count, tiny buffer
+	f.Add(append(append([]byte(nil), seed...), 0xAB))              // trailing byte
+	f.Add(append(countOf(1), make([]byte, BatchEntryOverhead)...)) // by-ref entry with zero hash
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, entries, err := DecodeStripe(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
+		checkPush(t, &PDU{Op: OpReplicaPush, Data: data})
+	})
+}
+
+// FuzzDecodeStripe feeds arbitrary stripe pushes: the input is the 16
+// opcode-specific header bytes (the group geometry and its reserved
+// tail) followed by the data segment.
+func FuzzDecodeStripe(f *testing.F) {
+	ext := func(k, n, idx byte) []byte { return append([]byte{k, n, idx}, make([]byte, extLen-3)...) }
+	group := ext(2, 4, 3)
+	seg := pushSegment(testEntries())
+	add := func(head, data []byte) { f.Add(append(append([]byte(nil), head...), data...)) }
+	add(group, seg)
+	add(group, seg[:len(seg)-3])                          // truncated frame
+	add(group, seg[:1])                                   // truncated count
+	f.Add(group[:5])                                      // short header bytes
+	add(append(ext(2, 4, 3)[:extLen-1], 1), seg)          // nonzero reserved byte
+	add(ext(0, 4, 1), seg)                                // k = 0
+	add(ext(5, 4, 1), seg)                                // k > n
+	add(ext(2, 4, 4), seg)                                // idx >= n
+	add(ext(2, 4, 0), countOf(0))                         // zero entry count
+	add(group, append(append([]byte(nil), seg...), 0xAB)) // trailing byte
+	add(ext(2, 4, 1), countOf(0xFFFFFFFF))                // absurd count, tiny buffer
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < extLen {
 			return
 		}
-		if !hdr.valid() {
-			t.Fatalf("accepted invalid group k=%d n=%d idx=%d", hdr.K, hdr.N, hdr.Idx)
-		}
-		if len(entries) == 0 || len(entries) > MaxBatchFrames {
-			t.Fatalf("accepted %d entries", len(entries))
-		}
-		total := 0
-		for _, e := range entries {
-			total += len(e.Frame)
-		}
-		if total > len(data) {
-			t.Fatalf("frames total %d bytes from a %d-byte segment", total, len(data))
-		}
-		again, err := EncodeStripe(hdr, entries)
-		if err != nil {
-			t.Fatalf("re-encode of accepted stripe: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("decode/encode round trip changed the segment")
-		}
+		p := &PDU{Op: OpReplicaPush, Data: data[extLen:]}
+		copy(p.Ext[:], data)
+		checkPush(t, p)
 	})
 }
 

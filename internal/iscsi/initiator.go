@@ -3,6 +3,7 @@ package iscsi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -212,11 +213,30 @@ func (i *Initiator) roundTrip(req *PDU) (*PDU, error) {
 // roundTripInto is roundTrip with a caller-supplied destination buffer
 // for the response data segment (see ReadPDUInto).
 func (i *Initiator) roundTripInto(req *PDU, dst []byte) (*PDU, error) {
+	return i.exchange(req.sendFunc(), dst)
+}
+
+// sendFunc writes one request tagged itt to w.
+type sendFunc func(w io.Writer, itt uint32) (int64, error)
+
+// sendFunc returns the sender of this PDU; it stamps each attempt's
+// ITT into the request.
+func (p *PDU) sendFunc() sendFunc {
+	return func(w io.Writer, itt uint32) (int64, error) {
+		p.ITT = itt
+		return p.WriteTo(w)
+	}
+}
+
+// exchange performs one request/response serialized on the session,
+// with one reconnect + resend on a transport failure when reconnection
+// is armed.
+func (i *Initiator) exchange(send sendFunc, dst []byte) (*PDU, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 
 	//lint:ignore hold-blocking i.mu serializes the session to one in-flight command; wire I/O under it is the session model
-	resp, err := i.doInto(req, dst)
+	resp, err := i.doLocked(send, dst)
 	if err == nil || i.redial == nil {
 		return resp, err
 	}
@@ -225,7 +245,7 @@ func (i *Initiator) roundTripInto(req *PDU, dst []byte) (*PDU, error) {
 		return nil, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
 	}
 	//lint:ignore hold-blocking retry of the serialized command after reconnect
-	return i.doInto(req, dst)
+	return i.doLocked(send, dst)
 }
 
 // currentConn returns the live connection, or nil after Close.
@@ -238,23 +258,17 @@ func (i *Initiator) currentConn() net.Conn {
 	return i.conn
 }
 
-// do performs one tagged request/response on the current connection.
-// Called with i.mu held.
-func (i *Initiator) do(req *PDU) (*PDU, error) {
-	return i.doInto(req, nil)
-}
-
-// doInto is do with a caller-supplied destination for the response
-// data segment: when the response carries exactly len(dst) bytes they
+// doLocked performs one tagged request/response on the current
+// connection. When the response carries exactly len(dst) bytes they
 // are read directly into dst (resp.Data aliases it), eliminating the
 // staging allocation on the block read path. Called with i.mu held.
-func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
+func (i *Initiator) doLocked(send sendFunc, dst []byte) (*PDU, error) {
 	conn := i.currentConn()
 	if conn == nil {
 		return nil, net.ErrClosed
 	}
 	i.itt++
-	req.ITT = i.itt
+	itt := i.itt
 
 	if i.timeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
@@ -263,7 +277,7 @@ func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
 		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
 	}
 
-	n, err := req.WriteTo(conn)
+	n, err := send(conn, itt)
 	i.wireSent += n
 	if err != nil {
 		return nil, err
@@ -272,8 +286,8 @@ func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.ITT != req.ITT {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, req.ITT)
+	if resp.ITT != itt {
+		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
 	}
 	return resp, nil
 }
@@ -324,7 +338,8 @@ func (i *Initiator) reconnectOnceLocked() error {
 	i.conn = conn
 	i.connMu.Unlock()
 
-	resp, err := i.do(&PDU{Op: OpLoginReq, Data: encodeLoginReq(i.redialTarget)})
+	login := &PDU{Op: OpLoginReq, Data: encodeLoginReq(i.redialTarget)}
+	resp, err := i.doLocked(login.sendFunc(), nil)
 	if err != nil {
 		return err
 	}
@@ -405,101 +420,36 @@ func (i *Initiator) WriteBlock(lba uint64, data []byte) error {
 	return nil
 }
 
-// ReplicaWrite pushes an encoded replication frame for the block at
-// lba; used engine-to-engine. hash is the content hash of the block
-// the replica must hold after the apply (HashBlock of A_new); zero
-// disables replica-side verification. Apply failures come back as
-// typed errors: ErrDiverged when the replica's recovered block failed
-// the hash check, ErrReplicaDecode and ErrReplicaStore for decode and
-// device failures — all of them still matching ErrStatus.
-func (i *Initiator) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return i.ReplicaWriteStream(mode, 0, 0, seq, lba, hash, frame)
+// RepairChain sends one pipelined-repair hop request (an opaque
+// payload built by internal/repair) and returns the response payload.
+func (i *Initiator) RepairChain(req []byte) ([]byte, error) {
+	resp, err := i.roundTrip(&PDU{Op: OpRepairChain, Data: req})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status != StatusOK {
+		return nil, fmt.Errorf("%w: repair-chain: %v", ErrStatus, resp.Status)
+	}
+	return resp.Data, nil
 }
 
-// ReplicaWriteStream is ReplicaWrite tagged with a (vol, shard)
-// replication stream: seq is assigned within that stream's own
-// sequence space and the replica dedupes per stream, so a sharded
-// primary can interleave independent seq streams over one session. A
-// zero tag is byte-identical to ReplicaWrite.
-func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	resp, err := i.roundTrip(&PDU{Op: OpReplicaWrite, Mode: mode, Shard: shard, Vol: vol, Seq: seq, LBA: lba, Hash: hash, Data: frame})
+// WriteBlocks writes count consecutive blocks at lba in one round
+// trip; data must be a whole number of blocks. The repair chain's
+// terminal hop uses it to land a rebuilt run on the replacement
+// replica without a round trip per block.
+func (i *Initiator) WriteBlocks(lba uint64, data []byte) error {
+	bs := i.BlockSize()
+	if bs <= 0 || len(data) == 0 || len(data)%bs != 0 {
+		return fmt.Errorf("iscsi: write-blocks payload of %d bytes, block size %d", len(data), bs)
+	}
+	resp, err := i.roundTrip(&PDU{Op: OpWriteCmd, LBA: lba, Data: data})
 	if err != nil {
 		return err
 	}
 	if resp.Status != StatusOK {
-		return statusErr("replica-write", lba, resp.Status)
+		return statusErr("write", lba, resp.Status)
 	}
 	return nil
-}
-
-// ReplicaWriteFramed is ReplicaWriteStream for a pre-assembled PDU:
-// pdu is FrameHeadroom reserved header bytes followed by the encoded
-// frame, built in place by the caller so nothing is staged or copied
-// here. The header — fresh ITT and digest included — is stamped into
-// pdu per attempt (see StampReplicaHeader), and the whole PDU goes out
-// as one write. The bytes on the wire are identical to
-// ReplicaWriteStream with the same tuple; a zero (shard, vol) tag
-// produces the v3 framing ReplicaWrite would have sent. pdu is
-// modified (its first FrameHeadroom bytes are overwritten), so the
-// caller must hold exclusive ownership of the buffer for the call.
-func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-
-	//lint:ignore hold-blocking i.mu serializes the session to one in-flight command; wire I/O under it is the session model
-	resp, err := i.doFramed(mode, shard, vol, seq, lba, hash, pdu)
-	if err != nil && i.redial != nil {
-		//lint:ignore hold-blocking reconnect reuses the same single-command session lock
-		if rerr := i.reconnectLocked(); rerr != nil {
-			return fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
-		}
-		//lint:ignore hold-blocking retry of the serialized command after reconnect
-		resp, err = i.doFramed(mode, shard, vol, seq, lba, hash, pdu)
-	}
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return statusErr("replica-write", lba, resp.Status)
-	}
-	return nil
-}
-
-// doFramed stamps the in-place replica-write header (fresh ITT each
-// attempt, so a reconnect retry re-tags and re-digests correctly) and
-// sends the pre-assembled PDU as a single write. Called with i.mu
-// held.
-func (i *Initiator) doFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) (*PDU, error) {
-	conn := i.currentConn()
-	if conn == nil {
-		return nil, net.ErrClosed
-	}
-	i.itt++
-	itt := i.itt
-	if err := StampReplicaHeader(pdu, mode, shard, vol, itt, seq, lba, hash); err != nil {
-		return nil, err
-	}
-
-	if i.timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
-			return nil, fmt.Errorf("iscsi: set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-	}
-
-	n, err := conn.Write(pdu)
-	i.wireSent += int64(n)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReadPDU(conn)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ITT != itt {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
-	}
-	return resp, nil
 }
 
 // Ping sends a NOP and returns the round-trip time.

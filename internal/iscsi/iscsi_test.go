@@ -22,7 +22,7 @@ func TestPDURoundTrip(t *testing.T) {
 		{name: "empty nop", pdu: PDU{Op: OpNop}},
 		{name: "read cmd", pdu: PDU{Op: OpReadCmd, ITT: 7, LBA: 123456, Blocks: 4}},
 		{name: "write with data", pdu: PDU{Op: OpWriteCmd, ITT: 8, LBA: 9, Data: []byte("payload")}},
-		{name: "replica", pdu: PDU{Op: OpReplicaWrite, Mode: 3, Seq: 1 << 40, LBA: 42, Data: []byte{1, 2, 3}}},
+		{name: "replica", pdu: PDU{Op: OpReplicaPush, Mode: 3, Shard: 2, Vol: 9, Ext: [extLen]byte{2, 4, 1}, Data: []byte{1, 2, 3}}},
 		{name: "status resp", pdu: PDU{Op: OpResp, Status: StatusOutOfRange, ITT: 1}},
 	}
 	for _, tt := range tests {
@@ -40,8 +40,9 @@ func TestPDURoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Op != tt.pdu.Op || got.Status != tt.pdu.Status || got.Mode != tt.pdu.Mode ||
+				got.Shard != tt.pdu.Shard || got.Vol != tt.pdu.Vol ||
 				got.ITT != tt.pdu.ITT || got.LBA != tt.pdu.LBA || got.Blocks != tt.pdu.Blocks ||
-				got.Seq != tt.pdu.Seq || !bytes.Equal(got.Data, tt.pdu.Data) {
+				got.Ext != tt.pdu.Ext || !bytes.Equal(got.Data, tt.pdu.Data) {
 				t.Errorf("round trip mismatch: got %+v, want %+v", got, tt.pdu)
 			}
 		})
@@ -49,10 +50,10 @@ func TestPDURoundTrip(t *testing.T) {
 }
 
 func TestPDURoundTripQuick(t *testing.T) {
-	f := func(op, mode uint8, itt uint32, lba, seq uint64, blocks uint32, data []byte) bool {
+	f := func(op, mode uint8, itt uint32, lba uint64, ext [extLen]byte, blocks uint32, data []byte) bool {
 		in := PDU{
 			Op: Opcode(op), Mode: mode, ITT: itt, LBA: lba,
-			Seq: seq, Blocks: blocks, Data: data,
+			Ext: ext, Blocks: blocks, Data: data,
 		}
 		var buf bytes.Buffer
 		if _, err := in.WriteTo(&buf); err != nil {
@@ -63,7 +64,7 @@ func TestPDURoundTripQuick(t *testing.T) {
 			return false
 		}
 		return out.Op == in.Op && out.Mode == in.Mode && out.ITT == in.ITT &&
-			out.LBA == in.LBA && out.Seq == in.Seq && out.Blocks == in.Blocks &&
+			out.LBA == in.LBA && out.Ext == in.Ext && out.Blocks == in.Blocks &&
 			bytes.Equal(out.Data, in.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -131,7 +132,7 @@ func TestReadPDUErrors(t *testing.T) {
 // header+data digest role).
 func TestDigestDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	p := PDU{Op: OpReplicaWrite, Mode: 3, Seq: 7, LBA: 42, ITT: 1, Data: []byte("payload bytes")}
+	p := PDU{Op: OpReplicaPush, Mode: 3, Ext: [extLen]byte{1, 2}, LBA: 42, ITT: 1, Data: []byte("payload bytes")}
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +264,15 @@ func TestReplicaWriteAgainstPlainStore(t *testing.T) {
 	if err := init.Login("disk0"); err != nil {
 		t.Fatal(err)
 	}
-	// A plain store backend rejects replica pushes.
-	if err := init.ReplicaWrite(1, 1, 0, 0, []byte{1}); !errors.Is(err, ErrStatus) {
-		t.Errorf("replica write: err = %v, want ErrStatus", err)
+	// A plain store backend refuses every entry of a replica push.
+	statuses, err := init.Push(PushHeader{Mode: 1}, []BatchEntry{{Seq: 1, Frame: []byte{1}}, {Seq: 2, Frame: []byte{2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range statuses {
+		if st != StatusBadRequest {
+			t.Errorf("replica push entry %d: %v, want BAD-REQUEST", i, st)
+		}
 	}
 }
 
@@ -572,5 +579,91 @@ func TestStoreBackendHandleReadReusesDst(t *testing.T) {
 	}
 	if _, st := b.HandleRead(2, 3, dst); st != StatusOutOfRange {
 		t.Errorf("HandleRead past the device end = %v, want OUT-OF-RANGE", st)
+	}
+}
+
+// TestReconnectBackoffSchedule drives reconnectLocked with a failing
+// dialer under injected clock hooks: the first reconnect of a streak
+// is immediate, consecutive failures back off exponentially to the
+// cap, and a successful cycle resets the streak. Deterministic — the
+// jitter hook is the identity and the sleeper only records.
+func TestReconnectBackoffSchedule(t *testing.T) {
+	store, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewTarget()
+	target.Export("vol", &StoreBackend{Store: store})
+	defer target.Close()
+
+	c1, c2 := net.Pipe()
+	go target.ServeConn(c2)
+	init := NewInitiator(c1)
+	if err := init.Login("vol"); err != nil {
+		t.Fatal(err)
+	}
+	defer init.Close()
+
+	var slept []time.Duration
+	fail := true
+	init.EnableReconnect("vol", func() (net.Conn, error) {
+		if fail {
+			return nil, errors.New("synthetic dial failure")
+		}
+		a, b := net.Pipe()
+		go target.ServeConn(b)
+		return a, nil
+	})
+	init.SetReconnectBackoff(10*time.Millisecond, 80*time.Millisecond)
+	init.rbJitter = func(d time.Duration) time.Duration { return d }
+	init.rbSleep = func(d time.Duration) { slept = append(slept, d) }
+
+	init.mu.Lock()
+	for n := 0; n < 6; n++ {
+		if err := init.reconnectLocked(); err == nil {
+			init.mu.Unlock()
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+	}
+	init.mu.Unlock()
+
+	// First attempt immediate, then 10, 20, 40, 80 (cap), 80 (cap).
+	want := []time.Duration{
+		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		80 * time.Millisecond, 80 * time.Millisecond,
+	}
+	if len(slept) != len(want) {
+		t.Fatalf("slept %v, want %v", slept, want)
+	}
+	for i := range want {
+		if slept[i] != want[i] {
+			t.Fatalf("sleep %d was %v, want %v (full schedule %v)", i, slept[i], want[i], slept)
+		}
+	}
+
+	// A successful reconnect resets the streak: the next failure's first
+	// attempt is immediate again.
+	fail = false
+	init.mu.Lock()
+	if err := init.reconnectLocked(); err != nil {
+		init.mu.Unlock()
+		t.Fatalf("healing reconnect: %v", err)
+	}
+	fail = true
+	slept = nil
+	if err := init.reconnectLocked(); err == nil {
+		init.mu.Unlock()
+		t.Fatal("reconnect unexpectedly succeeded")
+	}
+	if err := init.reconnectLocked(); err == nil {
+		init.mu.Unlock()
+		t.Fatal("reconnect unexpectedly succeeded")
+	}
+	init.mu.Unlock()
+	// Note the post-reset sleep before the cap-but-one attempt: the
+	// first retry after success slept 0 (recorded nothing), the second
+	// slept base again.
+	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
+		t.Fatalf("post-reset schedule %v, want [10ms]", slept)
 	}
 }

@@ -2,12 +2,12 @@
 // built on: an iSCSI-flavoured request/response protocol over TCP. An
 // initiator issues SCSI-like block commands (READ, WRITE) against a
 // target that serves a block device; the same PDU stream also carries
-// the PRINS replication pushes (REPLICA WRITE) between the engines of
+// the PRINS replication pushes (REPLICA PUSH) between the engines of
 // the primary and replica nodes, mirroring how the paper embeds the
 // PRINS-engine inside the iSCSI target with a second initiator for
 // inter-node traffic.
 //
-// The wire protocol is a simplification of RFC 3720: fixed 40-byte
+// The wire protocol is a simplification of RFC 3720: fixed 48-byte
 // basic header segment followed by an optional data segment, one
 // outstanding task per connection phase handled synchronously. It is
 // not interoperable with real iSCSI but preserves its shape — login
@@ -34,45 +34,25 @@ const (
 	OpLoginResp
 	OpReadCmd
 	OpWriteCmd
-	OpReplicaWrite // replication push carrying an xcode frame
-	OpResp         // generic command response
-	OpNop          // keepalive / RTT probe
+	// OpReplicaPush is the one replication push: a count-prefixed list
+	// of {seq, lba, hash, frameLen, frame} entries for one (vol, shard)
+	// stream, with the stripe geometry of a k-of-n replica group in the
+	// header (zero for a mirror push). An entry with frameLen 0 ships by
+	// reference. The response carries one status byte per entry. See
+	// WritePush and DecodePush.
+	OpReplicaPush
+	OpResp // generic command response
+	OpNop  // keepalive / RTT probe
 	OpNopResp
 	OpLogout
 	OpLogoutResp
 	OpHashCmd // per-block content hashes for delta resync
-	// OpReplicaWriteBatch ships several replication pushes in one PDU:
-	// a count-prefixed sequence of {seq, lba, hash, frameLen, frame}
-	// entries (see DecodeBatch). The response carries one status byte
-	// per entry, so a single diverged block does not fail its
-	// batch-mates. The only proto-v4 opcode; a batch of one is sent as
-	// a plain OpReplicaWrite so v3 peers interoperate.
-	OpReplicaWriteBatch
-	// OpReplicaWriteStripe ships erasure-coded stripe units for a
-	// k-of-n replica group (proto v6): a {k, n, idx} group prefix
-	// followed by batch-style {seq, lba, hash, frameLen, frame}
-	// entries, each frame an xcode-encoded stripe unit for this
-	// replica's unit index (see DecodeStripe). The response carries one
-	// status byte per entry, exactly like a batch. Stream tags (shard,
-	// vol) ride in the header as in v5. Only GroupMode traffic uses
-	// this opcode — v3-v5 framing is untouched when striping is off.
-	OpReplicaWriteStripe
-	// OpRepairChain carries one hop of a pipelined repair chain (proto
-	// v6): an opaque request the repair coordinator or the previous
-	// survivor built (see internal/repair), containing the accumulating
-	// partial sums plus the remaining hop list. The response payload
-	// reports downstream wire/ingest accounting.
+	// OpRepairChain carries one hop of a pipelined repair chain: an
+	// opaque request the repair coordinator or the previous survivor
+	// built (see internal/repair), containing the accumulating partial
+	// sums plus the remaining hop list. The response payload reports
+	// downstream wire/ingest accounting.
 	OpRepairChain
-	// OpReplicaWriteByRef ships replication pushes by content reference
-	// (proto v7): a count-prefixed sequence of {seq, lba, hash,
-	// frameLen, frame} entries where a zero frameLen means "the replica
-	// already holds a block with this content hash — materialize it by
-	// local copy" and a nonzero frameLen carries a normal xcode frame,
-	// so one PDU mixes by-ref and by-value entries in seq order (see
-	// DecodeByRef). The response carries one status byte per entry; an
-	// entry whose hash the replica's index cannot resolve reports
-	// StatusRefMiss and the initiator re-ships it by value.
-	OpReplicaWriteByRef
 )
 
 // String returns the opcode mnemonic.
@@ -86,8 +66,8 @@ func (o Opcode) String() string {
 		return "READ"
 	case OpWriteCmd:
 		return "WRITE"
-	case OpReplicaWrite:
-		return "REPLICA-WRITE"
+	case OpReplicaPush:
+		return "REPLICA-PUSH"
 	case OpResp:
 		return "RESP"
 	case OpNop:
@@ -100,14 +80,8 @@ func (o Opcode) String() string {
 		return "LOGOUT-RESP"
 	case OpHashCmd:
 		return "HASH"
-	case OpReplicaWriteBatch:
-		return "REPLICA-WRITE-BATCH"
-	case OpReplicaWriteStripe:
-		return "REPLICA-WRITE-STRIPE"
 	case OpRepairChain:
 		return "REPAIR-CHAIN"
-	case OpReplicaWriteByRef:
-		return "REPLICA-WRITE-BYREF"
 	default:
 		return fmt.Sprintf("OP(%d)", uint8(o))
 	}
@@ -173,8 +147,8 @@ func (s Status) String() string {
 }
 
 // sentinel returns the typed error a replica-apply status maps to, or
-// nil for statuses without one. Initiator.ReplicaWrite wraps it so
-// callers can switch on the failure class with errors.Is.
+// nil for statuses without one. ReplicaStatusErr wraps it so callers
+// can switch on the failure class with errors.Is.
 func (s Status) sentinel() error {
 	switch s {
 	case StatusDiverged:
@@ -196,45 +170,15 @@ const (
 	headerLen = 48
 	// protoMagic guards against desynchronized or foreign streams.
 	protoMagic = 0x69 // 'i'
-	// protoVersion is bumped on incompatible changes. v3 widened the
-	// header from 40 to 48 bytes for the replica-apply content hash; v4
-	// added OpReplicaWriteBatch. Every pre-batch opcode is still
-	// stamped baseVersion on the wire — byte-identical to a v3 peer's
-	// framing — so mixed-version nodes interoperate until the first
-	// batched push, and a batch of one is sent as a v3 OpReplicaWrite.
-	protoVersion = 4
-	// baseVersion is the framing version of all single-command opcodes.
-	baseVersion = 3
-	// streamVersion (v5) carries a replication stream tag in the
-	// previously-reserved header bytes: off 5 is the shard index and
-	// off 6-7 the volume id. Each (vol, shard) pair is an independent
-	// sequence space on the replica, so a sharded primary can ship N
-	// interleaved seq streams over one session without breaking
-	// seq-dedupe. The version byte is stamped 5 only when the tag is
-	// nonzero — an untagged push from a sharded-capable peer is
-	// byte-identical to v3/v4 framing, so un-sharded nodes interoperate
-	// until the first tagged push.
-	streamVersion = 5
-	// stripeVersion (v6) adds the k-of-n replica-group opcodes
-	// (OpReplicaWriteStripe, OpRepairChain). Only those opcodes are
-	// stamped 6; every pre-stripe opcode keeps its v3-v5 framing
-	// byte-identically, so mixed-version nodes interoperate until the
-	// first stripe push.
-	stripeVersion = 6
-	// dedupeVersion (v7) adds the content-addressed by-ref push
-	// (OpReplicaWriteByRef). Only that opcode is stamped 7; every
-	// pre-dedupe opcode keeps its v3-v6 framing byte-identically, so
-	// mixed-version nodes interoperate until the first by-ref push —
-	// which the engine only attempts against a by-ref-capable client.
-	dedupeVersion = 7
+	// protoVersion is bumped on incompatible changes. Every PDU carries
+	// it, and a peer with any other version is refused: both ends of a
+	// session are built from the same source.
+	protoVersion = 8
+	// extLen is the opcode-specific header tail (PDU.Ext).
+	extLen = 16
 	// MaxDataSegment bounds a PDU's data segment; larger is rejected
 	// before allocation.
 	MaxDataSegment = 17 << 20
-	// FrameHeadroom is the header space a caller reserves at the front
-	// of a pooled frame buffer so StampReplicaHeader can write the PDU
-	// header in place and the whole PDU goes out as one contiguous
-	// zero-copy send (see Initiator.ReplicaWriteFramed).
-	FrameHeadroom = headerLen
 )
 
 // Protocol error values.
@@ -248,14 +192,15 @@ var (
 	// the length implied by the request — a truncated or misaligned
 	// payload from a buggy or hostile peer.
 	ErrShortFrame = errors.New("iscsi: truncated response payload")
-	// ErrBadFrame reports a structurally invalid batch segment (zero or
-	// oversized entry count, trailing bytes after the last entry).
-	ErrBadFrame = errors.New("iscsi: malformed batch segment")
+	// ErrBadFrame reports a structurally invalid push (zero or oversized
+	// entry count, trailing bytes after the last entry, a by-ref entry
+	// without a hash, bad group geometry, nonzero reserved bytes).
+	ErrBadFrame = errors.New("iscsi: malformed push")
 )
 
 // Typed replica-apply failures. The replica engine wraps its apply
 // errors with these so the target can map them to distinct statuses,
-// and Initiator.ReplicaWrite wraps the status back into the same
+// and ReplicaStatusErr wraps the status back into the same
 // sentinel — errors.Is sees the identical failure class on both sides
 // of the wire (and through in-process loopback clients).
 var (
@@ -278,61 +223,42 @@ var (
 //
 // Header layout (big endian):
 //
-//	off 0  : magic
-//	off 1  : version
-//	off 2  : opcode
-//	off 3  : status
-//	off 4  : mode (replication mode for OpReplicaWrite)
-//	off 5  : shard (uint8)  replication stream shard index (v5)
-//	off 6-7: vol (uint16)   replication stream volume id (v5)
-//	off 8  : ITT  (uint32)  initiator task tag
-//	off 12 : LBA  (uint64)
-//	off 20 : blocks (uint32) block count for READ
-//	off 24 : data length (uint32)
-//	off 28 : sequence (uint64) engine-assigned replication sequence
-//	off 36 : hash (uint64) content hash of the decoded new block
-//	off 44 : digest (uint32) CRC-32C over header (digest zeroed) + data
+//	off 0    : magic
+//	off 1    : version
+//	off 2    : opcode
+//	off 3    : status
+//	off 4    : mode (replication mode of an OpReplicaPush)
+//	off 5    : shard (uint8)  replication stream shard index
+//	off 6-7  : vol (uint16)   replication stream volume id
+//	off 8    : ITT  (uint32)  initiator task tag
+//	off 12   : LBA  (uint64)
+//	off 20   : blocks (uint32) block count for READ
+//	off 24   : data length (uint32)
+//	off 28-43: ext, opcode-specific (see PushHeader); zero otherwise
+//	off 44   : digest (uint32) CRC-32C over header (digest zeroed) + data
 //
 // The digest plays the role of iSCSI's header+data digests: corrupted
 // or torn PDUs are rejected with ErrBadDigest instead of being applied
-// to a replica. The hash field rides on OpReplicaWrite: it is the
-// 64-bit content hash (HashBlock) of the block the replica must hold
-// after applying the frame, letting the replica verify the backward
-// parity computation end to end; zero means "unverified push".
+// to a replica.
 type PDU struct {
 	Op     Opcode
 	Status Status
 	Mode   uint8
-	Shard  uint8  // replication stream shard index; zero = untagged
-	Vol    uint16 // replication stream volume id; zero = untagged
+	Shard  uint8  // replication stream shard index
+	Vol    uint16 // replication stream volume id; zero for a standalone engine
 	ITT    uint32
 	LBA    uint64
 	Blocks uint32
-	Seq    uint64
-	Hash   uint64
+	Ext    [extLen]byte
 	Data   []byte
 }
 
-// WriteTo encodes and writes the PDU to w as one header + data stream.
-func (p *PDU) WriteTo(w io.Writer) (int64, error) {
-	if len(p.Data) > MaxDataSegment {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
-	}
+// header encodes the PDU's basic header segment with the digest field
+// zeroed.
+func (p *PDU) header() [headerLen]byte {
 	var hdr [headerLen]byte
 	hdr[0] = protoMagic
-	hdr[1] = baseVersion
-	if p.Op == OpReplicaWriteBatch {
-		hdr[1] = protoVersion
-	}
-	if p.Shard != 0 || p.Vol != 0 {
-		hdr[1] = streamVersion
-	}
-	if p.Op == OpReplicaWriteStripe || p.Op == OpRepairChain {
-		hdr[1] = stripeVersion
-	}
-	if p.Op == OpReplicaWriteByRef {
-		hdr[1] = dedupeVersion
-	}
+	hdr[1] = protoVersion
 	hdr[2] = byte(p.Op)
 	hdr[3] = byte(p.Status)
 	hdr[4] = p.Mode
@@ -342,73 +268,44 @@ func (p *PDU) WriteTo(w io.Writer) (int64, error) {
 	binary.BigEndian.PutUint64(hdr[12:], p.LBA)
 	binary.BigEndian.PutUint32(hdr[20:], p.Blocks)
 	binary.BigEndian.PutUint32(hdr[24:], uint32(len(p.Data)))
-	binary.BigEndian.PutUint64(hdr[28:], p.Seq)
-	binary.BigEndian.PutUint64(hdr[36:], p.Hash)
-	binary.BigEndian.PutUint32(hdr[44:], digest(hdr[:], p.Data))
+	copy(hdr[28:44], p.Ext[:])
+	return hdr
+}
 
-	if len(p.Data) == 0 {
-		n, err := w.Write(hdr[:])
-		if err != nil {
-			return int64(n), fmt.Errorf("iscsi: write header: %w", err)
-		}
-		return int64(n), nil
+// WriteTo encodes and writes the PDU to w as one header + data stream.
+func (p *PDU) WriteTo(w io.Writer) (int64, error) {
+	if len(p.Data) > MaxDataSegment {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
 	}
-	// Header and data go out as one vectored send: a shaped link
-	// (wan.ShapedConn) charges its one-way latency once per call, so
-	// splitting them into two Writes would double the modelled latency
-	// of every data-carrying PDU.
-	bufs := net.Buffers{hdr[:], p.Data}
-	if bw, ok := w.(buffersWriter); ok {
-		n, err := bw.WriteBuffers(bufs)
-		if err != nil {
-			return n, fmt.Errorf("iscsi: write pdu: %w", err)
-		}
-		return n, nil
+	hdr := p.header()
+	binary.BigEndian.PutUint32(hdr[44:], digest(hdr[:], p.Data))
+	bufs := net.Buffers{hdr[:]}
+	if len(p.Data) > 0 {
+		bufs = append(bufs, p.Data)
 	}
-	n, err := bufs.WriteTo(w)
+	n, err := writeBuffers(w, bufs)
 	if err != nil {
 		return n, fmt.Errorf("iscsi: write pdu: %w", err)
 	}
 	return n, nil
 }
 
-// StampReplicaHeader writes a complete OpReplicaWrite header into the
-// first FrameHeadroom bytes of pdu — whose remainder is the encoded
-// frame — and stamps the CRC-32C digest in a single pass over the now
-// contiguous PDU. No staging copy, no allocation: the caller's pooled
-// buffer becomes the wire image in place. The framing is byte-for-byte
-// what PDU.WriteTo produces for the same fields (v3 for an untagged
-// stream, v5 when shard or vol is nonzero).
-func StampReplicaHeader(pdu []byte, mode, shard uint8, vol uint16, itt uint32, seq, lba, hash uint64) error {
-	if len(pdu) < FrameHeadroom {
-		return fmt.Errorf("%w: framed pdu of %d bytes lacks header room", ErrShortFrame, len(pdu))
+// writeBuffers sends bufs as one vectored write. A shaped link
+// (wan.ShapedConn) charges its one-way latency once per call, so
+// splitting a PDU into several Writes would multiply the modelled
+// latency of every data-carrying PDU; plain conns fall back to
+// net.Buffers.WriteTo, which uses writev on TCP.
+func writeBuffers(w io.Writer, bufs net.Buffers) (int64, error) {
+	if bw, ok := w.(buffersWriter); ok {
+		return bw.WriteBuffers(bufs)
 	}
-	dataLen := len(pdu) - FrameHeadroom
-	if dataLen > MaxDataSegment {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, dataLen)
-	}
-	hdr := pdu[:FrameHeadroom]
-	hdr[0] = protoMagic
-	hdr[1] = baseVersion
-	if shard != 0 || vol != 0 {
-		hdr[1] = streamVersion
-	}
-	hdr[2] = byte(OpReplicaWrite)
-	hdr[3] = 0
-	hdr[4] = mode
-	hdr[5] = shard
-	binary.BigEndian.PutUint16(hdr[6:], vol)
-	binary.BigEndian.PutUint32(hdr[8:], itt)
-	binary.BigEndian.PutUint64(hdr[12:], lba)
-	binary.BigEndian.PutUint32(hdr[20:], 0)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
-	binary.BigEndian.PutUint64(hdr[28:], seq)
-	binary.BigEndian.PutUint64(hdr[36:], hash)
-	// Digest with the field zeroed, then stamp — one streamed CRC over
-	// header+data, matching digest().
-	hdr[44], hdr[45], hdr[46], hdr[47] = 0, 0, 0, 0
-	binary.BigEndian.PutUint32(hdr[44:], crc32.Checksum(pdu, castagnoli))
-	return nil
+	return bufs.WriteTo(w)
+}
+
+// buffersWriter is implemented by connections that can deliver a
+// vectored PDU as one shaped send.
+type buffersWriter interface {
+	WriteBuffers(bufs net.Buffers) (int64, error)
 }
 
 // ReadPDU reads and decodes one PDU from r. It returns io.EOF on a
@@ -433,8 +330,7 @@ func ReadPDUInto(r io.Reader, dst []byte) (*PDU, error) {
 	if hdr[0] != protoMagic {
 		return nil, fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
 	}
-	if hdr[1] != baseVersion && hdr[1] != protoVersion && hdr[1] != streamVersion &&
-		hdr[1] != stripeVersion && hdr[1] != dedupeVersion {
+	if hdr[1] != protoVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
 	dataLen := binary.BigEndian.Uint32(hdr[24:])
@@ -450,9 +346,8 @@ func ReadPDUInto(r io.Reader, dst []byte) (*PDU, error) {
 		ITT:    binary.BigEndian.Uint32(hdr[8:]),
 		LBA:    binary.BigEndian.Uint64(hdr[12:]),
 		Blocks: binary.BigEndian.Uint32(hdr[20:]),
-		Seq:    binary.BigEndian.Uint64(hdr[28:]),
-		Hash:   binary.BigEndian.Uint64(hdr[36:]),
 	}
+	copy(p.Ext[:], hdr[28:44])
 	if dataLen > 0 {
 		if int(dataLen) == len(dst) {
 			p.Data = dst

@@ -23,26 +23,19 @@ type Backend interface {
 	HandleRead(lba uint64, blocks uint32, dst []byte) ([]byte, Status)
 	// HandleWrite applies a whole-block write at lba.
 	HandleWrite(lba uint64, data []byte) Status
-	// HandleReplica applies a replication push: an xcode frame for the
-	// block at lba, produced by a peer engine in the given mode with
-	// the given sequence number. hash, when non-zero, is the content
-	// hash the decoded new block must verify against before the
-	// in-place write (StatusDiverged on mismatch).
-	HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) Status
+	// HandlePush applies one replication push (see PushHeader) and
+	// returns exactly one status per entry, in entry order. A backend
+	// that is not a replica of the push's shape refuses every entry
+	// (see Refuse).
+	HandlePush(hdr PushHeader, entries []BatchEntry) []Status
 }
 
-// StreamBackend is the optional stream-aware extension of Backend: a
-// replica that keeps one sequence space per (vol, shard) replication
-// stream. A v5 stream-tagged push routed at a backend that does not
-// implement StreamBackend is refused with StatusBadRequest — folding
-// tagged streams into a single sequence space would make the replica's
-// seq-dedupe silently drop frames from other shards.
-type StreamBackend interface {
+// ChainBackend is the pipelined-repair extension of Backend: one hop
+// of a repair chain hands the opaque request to the node's repair
+// logic (see internal/repair) and returns the response payload.
+type ChainBackend interface {
 	Backend
-	// HandleReplicaStream applies a replication push against the
-	// (vol, shard) stream's sequence space. A zero tag is the default
-	// stream and behaves exactly like HandleReplica.
-	HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status
+	HandleRepairChain(req []byte) ([]byte, Status)
 }
 
 // StoreBackend adapts a block.Store into a Backend with no replication
@@ -81,9 +74,9 @@ func (b *StoreBackend) HandleWrite(lba uint64, data []byte) Status {
 	return StatusOK
 }
 
-// HandleReplica implements Backend; a plain store is not a replica.
-func (b *StoreBackend) HandleReplica(uint8, uint64, uint64, uint64, []byte) Status {
-	return StatusBadRequest
+// HandlePush implements Backend; a plain store is not a replica.
+func (b *StoreBackend) HandlePush(_ PushHeader, entries []BatchEntry) []Status {
+	return Refuse(len(entries), StatusBadRequest)
 }
 
 func storeStatus(err error) Status {
@@ -231,41 +224,6 @@ func (t *Target) logf(format string, args ...any) {
 	}
 }
 
-// applyReplica dispatches one replication push: stream-tagged pushes
-// require a StreamBackend (refused otherwise — see StreamBackend),
-// untagged pushes prefer the stream handler's default stream but fall
-// back to the v3 handler for un-upgraded backends.
-func applyReplica(backend Backend, mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
-	if sb, ok := backend.(StreamBackend); ok {
-		return sb.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame)
-	}
-	if shard != 0 || vol != 0 {
-		return StatusBadRequest
-	}
-	return backend.HandleReplica(mode, seq, lba, hash, frame)
-}
-
-// applyBatch dispatches a decoded batch to the backend: natively when
-// it implements the (stream) batch interface, otherwise entry by entry
-// through the single-frame handlers, so an un-upgraded backend behind
-// an upgraded target still serves batched sessions. Stream-tagged
-// batches require stream support end to end.
-func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
-	if sbb, ok := backend.(StreamBatchBackend); ok {
-		return sbb.HandleReplicaBatchStream(mode, shard, vol, entries)
-	}
-	if shard == 0 && vol == 0 {
-		if bb, ok := backend.(BatchBackend); ok {
-			return bb.HandleReplicaBatch(mode, entries)
-		}
-	}
-	statuses := make([]Status, len(entries))
-	for i, e := range entries {
-		statuses[i] = applyReplica(backend, mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame)
-	}
-	return statuses
-}
-
 // ServeConn runs one session on conn until logout, EOF, a protocol
 // error, or target shutdown. It owns conn and closes it on return.
 func (t *Target) ServeConn(conn net.Conn) {
@@ -348,69 +306,19 @@ func (t *Target) ServeConn(conn net.Conn) {
 			}
 			resp.Status = backend.HandleWrite(pdu.LBA, pdu.Data)
 
-		case OpReplicaWrite:
+		case OpReplicaPush:
 			resp.Op = OpResp
 			if backend == nil {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			resp.Status = applyReplica(backend, pdu.Mode, pdu.Shard, pdu.Vol, pdu.Seq, pdu.LBA, pdu.Hash, pdu.Data)
-
-		case OpReplicaWriteBatch:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			entries, err := DecodeBatch(pdu.Data)
+			hdr, entries, err := DecodePush(pdu)
 			if err != nil {
 				resp.Status = StatusBadRequest
 				break
 			}
 			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries))
-
-		case OpReplicaWriteStripe:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			shdr, entries, err := DecodeStripe(pdu.Data)
-			if err != nil {
-				resp.Status = StatusBadRequest
-				break
-			}
-			sb, ok := backend.(StripeBackend)
-			if !ok {
-				// A stripe unit pushed at a whole-block replica would be
-				// stored as if it were a block: refuse rather than corrupt.
-				resp.Status = StatusBadRequest
-				break
-			}
-			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(sb.HandleReplicaStripe(pdu.Mode, pdu.Shard, pdu.Vol, shdr, entries))
-
-		case OpReplicaWriteByRef:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			entries, err := DecodeByRef(pdu.Data)
-			if err != nil {
-				resp.Status = StatusBadRequest
-				break
-			}
-			brb, ok := backend.(ByRefBackend)
-			if !ok {
-				// A by-ref push at a replica without a content index can
-				// not be materialized: refuse the PDU rather than guess.
-				resp.Status = StatusBadRequest
-				break
-			}
-			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries))
+			resp.Data = EncodeBatchStatuses(backend.HandlePush(hdr, entries))
 
 		case OpRepairChain:
 			resp.Op = OpResp

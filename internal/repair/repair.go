@@ -158,18 +158,14 @@ func (n *Node) HandleRepairChain(req []byte) ([]byte, iscsi.Status) {
 
 // ChainedReplica is a replica-group member that serves both the
 // striped write path (via the embedded engine) and repair-chain hops
-// (via the embedded Node). It satisfies iscsi.StripeBackend and
-// iscsi.ChainBackend, so one target export carries writes, reads,
-// hashes, and repair.
+// (via the embedded Node). It satisfies iscsi.ChainBackend, so one
+// target export carries pushes, writes, reads, hashes, and repair.
 type ChainedReplica struct {
 	*core.ReplicaEngine
 	Node
 }
 
-var (
-	_ iscsi.StripeBackend = (*ChainedReplica)(nil)
-	_ iscsi.ChainBackend  = (*ChainedReplica)(nil)
-)
+var _ iscsi.ChainBackend = (*ChainedReplica)(nil)
 
 // NewChainedReplica wraps a replica engine as a chain-capable group
 // member, repairing out of the engine's own unit store. A nil dial

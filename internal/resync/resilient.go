@@ -1,7 +1,6 @@
 package resync
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -56,52 +55,52 @@ func (c *ResilientClient) dial() (*iscsi.Initiator, error) {
 	return conn, nil
 }
 
-// ReplicaWrite implements the engine's ReplicaClient contract. On
-// transport failure it reconnects, resyncs, and retries the push once.
-// A diverged refusal is healed in place: the replica verified the
-// frame and found its own block wrong, so the session is fine — the
-// block is repaired with a one-block ranged resync on the live
-// connection (the local store already holds the new content, making
-// the refused push redundant; it must NOT be re-applied on top of the
-// repair in PRINS mode, where the extra XOR would corrupt the block).
-func (c *ResilientClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.push(lba, func(conn *iscsi.Initiator) error {
-		return conn.ReplicaWrite(mode, seq, lba, hash, frame)
-	})
-}
-
-// ReplicaWriteStream implements the engine's StreamReplicaClient
-// contract with the same reconnect-resync-resume behaviour as
-// ReplicaWrite, so sharded and multi-volume engines can attach a
-// resilient session. The post-reconnect resync covers the whole local
-// device, which heals every stream's gap at once; the per-stream
-// dedupe cursors on the replica make the subsequent redeliveries
-// no-ops.
-func (c *ResilientClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
-	return c.push(lba, func(conn *iscsi.Initiator) error {
-		return conn.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
-	})
-}
-
-// push runs one delivery attempt through the live session, healing a
-// diverged refusal in place and a transport failure by
-// reconnect + full resync (after which the push is redundant — see
-// ReplicaWrite).
-func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) error {
+// Push implements the engine's ReplicaClient contract over a session
+// that heals itself.
+//
+// An entry the replica refused as diverged is healed in place: the
+// replica verified the frame and found its own block wrong, so the
+// session is fine — the diverged blocks are repaired with one ranged
+// resync over their LBAs on the live connection and reported OK. The
+// local store already holds their new content, making the refused
+// entries redundant; they must NOT be re-applied on top of the repair
+// in PRINS mode, where the extra XOR would corrupt the block. Every
+// other per-entry status (a by-ref miss the engine re-ships, a decode
+// or store failure) passes through.
+//
+// A transport failure — or a failed in-place heal — reconnects, runs a
+// full delta resync of the local device, and reports every entry OK:
+// the resync covered this push's writes too, and re-applying them on
+// top of it would double-XOR. A sharded or multi-volume engine's
+// streams all heal at once this way; the per-stream dedupe cursors on
+// the replica make the subsequent redeliveries no-ops.
+func (c *ResilientClient) Push(hdr iscsi.PushHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	if c.conn != nil {
-		err := send(c.conn)
+		//lint:ignore hold-blocking c.mu serializes pushes and heals on one session; the push's wire I/O under it is the design
+		statuses, err := c.conn.Push(hdr, entries)
 		if err == nil {
-			return nil
-		}
-		if errors.Is(err, iscsi.ErrDiverged) {
+			var diverged []block.Range
+			for k, st := range statuses {
+				if st == iscsi.StatusDiverged {
+					diverged = append(diverged, block.Range{Start: entries[k].LBA, Count: 1})
+				}
+			}
+			if len(diverged) == 0 {
+				return statuses, nil
+			}
 			//lint:ignore hold-blocking c.mu serializes push and heal on one session; repair I/O under it is the design
-			stats, rerr := RunRanges(c.local, c.conn, Config{}, block.Range{Start: lba, Count: 1})
+			stats, rerr := RunRanges(c.local, c.conn, Config{}, diverged...)
 			if rerr == nil {
 				c.repaired += int64(stats.BlocksRepaired)
-				return nil
+				for k, st := range statuses {
+					if st == iscsi.StatusDiverged {
+						statuses[k] = iscsi.StatusOK
+					}
+				}
+				return statuses, nil
 			}
 			// Repair failed; fall through to reconnect + full resync.
 		}
@@ -109,8 +108,8 @@ func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) er
 		c.conn = nil
 	}
 
-	// Reconnect and heal the gap. The resync covers this push's write
-	// too (the local store already holds it), so after a successful
+	// Reconnect and heal the gap. The resync covers this push's writes
+	// too (the local store already holds them), so after a successful
 	// repair the push itself is redundant — but it must not be applied
 	// on top of the repaired state in PRINS mode, where re-XORing a
 	// parity would corrupt the block. Resync-then-skip is the correct
@@ -118,18 +117,18 @@ func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) er
 	//lint:ignore hold-blocking reconnect is serialized under the session lock so pushes cannot interleave with the heal
 	conn, err := c.dial()
 	if err != nil {
-		return fmt.Errorf("resync: reconnect %s: %w", c.addr, err)
+		return nil, fmt.Errorf("resync: reconnect %s: %w", c.addr, err)
 	}
 	c.reconnect++
 	//lint:ignore hold-blocking the full resync runs under the session lock for the same reason
 	stats, err := Run(c.local, conn, Config{})
 	if err != nil {
 		_ = conn.Close()
-		return fmt.Errorf("resync: heal after reconnect: %w", err)
+		return nil, fmt.Errorf("resync: heal after reconnect: %w", err)
 	}
 	c.repaired += int64(stats.BlocksRepaired)
 	c.conn = conn
-	return nil
+	return make([]iscsi.Status, len(entries)), nil
 }
 
 // Reconnects returns how many times the session was re-established.

@@ -114,7 +114,8 @@ func TestResilientClientFailsWhenReplicaGone(t *testing.T) {
 	client.conn = nil
 	client.mu.Unlock()
 
-	if err := client.ReplicaWrite(uint8(core.ModePRINS), 1, 0, 0, []byte{1}); err == nil {
+	if _, err := client.Push(iscsi.PushHeader{Mode: uint8(core.ModePRINS)},
+		[]iscsi.BatchEntry{{Seq: 1, Frame: []byte{1}}}); err == nil {
 		t.Error("push to dead replica succeeded")
 	}
 }

@@ -105,7 +105,7 @@ type Config struct {
 	// worker never waits for a batch to fill, it just takes whatever has
 	// queued behind the frame in hand, so an idle pipeline still ships
 	// every write immediately. Zero selects the default (32); 1 disables
-	// batching entirely and every frame ships as a single-frame push.
+	// batching and every push carries one frame.
 	BatchFrames int
 	// BatchBytes soft-caps the encoded payload of one batch: draining
 	// stops once the batch reaches this many frame bytes. Zero selects
@@ -150,19 +150,18 @@ type Config struct {
 	// with an incremental resync (see DirtyRanges).
 	DisableVerify bool
 
-	// DedupeEntries enables content-addressed dedupe on the ship path
-	// (wire protocol v7): the primary tracks which (lba, content hash)
-	// pairs each replica provably holds, and when a queued frame's
-	// content is already present on the replica it ships a 28-byte
-	// by-ref entry instead of the parity frame. The replica materializes
-	// the block by local copy after re-hashing the source, and answers
-	// REF-MISS when it cannot — the primary then transparently re-ships
-	// the frame by value, so dedupe never affects correctness, only
-	// bytes. DedupeEntries bounds the per-replica index (LRU beyond it);
-	// zero disables dedupe, negative selects a default bound. Dedupe is
-	// ineffective with DisableVerify (no content hashes to track), with
-	// BatchFrames: 1 (by-ref rides the batch path), and in group mode
-	// (stripe units are not whole blocks).
+	// DedupeEntries enables content-addressed dedupe on the ship path:
+	// the primary tracks which (lba, content hash) pairs each replica
+	// provably holds, and when a queued frame's content is already
+	// present on the replica it ships a 28-byte by-ref entry instead of
+	// the parity frame. The replica materializes the block by local copy
+	// after re-hashing the source, and answers REF-MISS when it cannot —
+	// the primary then transparently re-ships the frame by value, so
+	// dedupe never affects correctness, only bytes. DedupeEntries bounds
+	// the per-replica index (LRU beyond it); zero disables dedupe,
+	// negative selects a default bound. NewPrimary refuses it together
+	// with DisableVerify (no content hashes to address by) and in group
+	// mode (stripe units are not whole blocks).
 	DedupeEntries int
 
 	// GroupK and GroupN (both set) turn the replica set into an
@@ -328,7 +327,9 @@ func (p *Primary) AttachReplica(r *Replica) error {
 // AttachReplicaResilient connects to a replica like AttachReplicaAddr
 // but survives session loss: on a failed push it reconnects, runs a
 // hash-based delta resync to heal the writes lost while disconnected,
-// and resumes. Use it when the WAN is expected to flap.
+// and resumes; a block the replica refuses as diverged is repaired in
+// place with a ranged resync. Batching and dedupe work as on any
+// other replica. Use it when the WAN is expected to flap.
 func (p *Primary) AttachReplicaResilient(addr, exportName string) error {
 	rc, err := resync.NewResilientClient(p.engine, addr, exportName)
 	if err != nil {
@@ -828,10 +829,10 @@ func (r *Replica) Store() Store { return r.engine.Store() }
 
 // SetDedupe bounds (entries > 0) or disables (entries <= 0) the
 // replica's content-addressed index — the table that lets a by-ref
-// push (wire protocol v7) be materialized by local copy. Replicas run
-// a default-sized index out of the box; disabling it forces every
-// by-ref push into a REF-MISS fallback, which the primary heals by
-// re-shipping the frame by value, so it is always safe, just slower.
+// entry be materialized by local copy. Replicas run a default-sized
+// index out of the box; disabling it forces every by-ref entry into a
+// REF-MISS fallback, which the primary heals by re-shipping the frame
+// by value, so it is always safe, just slower.
 // Call before Serve.
 func (r *Replica) SetDedupe(entries int) { r.engine.SetDedupe(entries) }
 

@@ -206,3 +206,92 @@ func TestDialErrors(t *testing.T) {
 		t.Error("dial to wrong export succeeded")
 	}
 }
+
+// TestResilientReplicaBatchesAndDedupe: a resilient replica session is
+// a full replica client. It carries batched pushes, ships repeated
+// content by reference, and heals a block that rotted on the replica
+// in place — the refused entry is repaired by a ranged resync on the
+// live session, so the engine sees it delivered and nothing is left
+// dirty.
+func TestResilientReplicaBatchesAndDedupe(t *testing.T) {
+	const bs, nb = 1024, 64
+	replicaStore, err := prins.NewMemStore(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := prins.NewReplica(replicaStore)
+	rAddr, err := replica.Serve("127.0.0.1:0", "vol0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+
+	local, err := prins.NewMemStore(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := prins.NewPrimary(local, prins.Config{
+		Mode: prins.ModePRINS, Async: true, BatchFrames: 32, DedupeEntries: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if err := primary.AttachReplicaResilient(rAddr.String(), "vol0"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Repeated content from a small pool: backlog forms batches, and
+	// content the replica already holds ships by reference.
+	pool := make([][]byte, 4)
+	for i := range pool {
+		pool[i] = bytes.Repeat([]byte{byte(0x10 + i)}, bs)
+	}
+	for i := 0; i < 400; i++ {
+		if err := primary.WriteBlock(uint64(i*7%nb), pool[i%len(pool)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rot one block on the replica, then write a burst of fresh content
+	// with that block in the middle: its PRINS apply no longer verifies.
+	const rotted = 10
+	if err := replicaStore.WriteBlock(rotted, bytes.Repeat([]byte{0xEE}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	for lba := uint64(0); lba < 21; lba++ {
+		data := bytes.Repeat([]byte{byte(lba)}, bs)
+		data[0], data[1] = 0xA5, byte(lba+1)
+		if err := primary.WriteBlock(lba, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := primary.Stats()
+	if st.Batches == 0 {
+		t.Error("no batched push: the resilient session must batch")
+	}
+	if st.DedupeHits == 0 {
+		t.Error("no by-ref hit on repeated content: the resilient session must ship by reference")
+	}
+	if replica.Diverged() == 0 {
+		t.Error("the rotted block's apply was never refused")
+	}
+	if st.Diverged != 0 || len(primary.DirtyRanges(0)) != 0 {
+		t.Errorf("rot healed in place should leave nothing dirty: diverged %d, dirty %v",
+			st.Diverged, primary.DirtyRanges(0))
+	}
+	eq, err := prins.Equal(local, replicaStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq {
+		t.Fatal("replica differs from primary after the in-place heal")
+	}
+}
